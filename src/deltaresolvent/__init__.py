@@ -22,7 +22,7 @@ from .forms import (apply_trace, evaluate_form, fourier_trace_identities,
                     h1_norm_squared, momentum_trace, trace_adjoint)
 from .greens import greens_closed, greens_quadrature
 from .grid import (Grid, free_resolvent, lowest_eigenvalues, operator_norm,
-                   random_band_limited, solve_shifted)
+                   random_band_limited, shifted_solver)
 from .resolvent import (DirectAssembly, FactoredAssembly, TraceAssembly,
                         apply_kk_resolvent, apply_limit_resolvent,
                         apply_theta_resolvent, assemble, convergence_sweep,
@@ -76,7 +76,7 @@ __all__ = [
     "parse_masses",
     "pole_scan",
     "random_band_limited",
-    "solve_shifted",
+    "shifted_solver",
     "trace_adjoint",
     "verify_block_convergence",
 ]

@@ -608,14 +608,17 @@ _HANDLERS = {
 }
 
 
-def _thread_cap(threads):
-    if threads is None:
-        return contextlib.nullcontext()
+def _thread_cap(args):
+    """Context capping BLAS threads; leaves in ``args.threads`` the cap in force."""
     try:
         import threadpoolctl
     except ImportError:
+        if args.threads is not None:
+            print("warning: --threads %d not applied: threadpoolctl is not "
+                  "installed" % args.threads, file=sys.stderr)
+            args.threads = None
         return contextlib.nullcontext()
-    return threadpoolctl.threadpool_limits(limits=threads)
+    return threadpoolctl.threadpool_limits(limits=args.threads)
 
 
 def build_parser():
@@ -632,7 +635,7 @@ def build_parser():
     common.add_argument("--seed", type=int, default=0, metavar="U64",
                         help="master RNG seed (default 0)")
     common.add_argument("--threads", type=int, default=None, metavar="N",
-                        help="cap BLAS/FFT worker threads")
+                        help="cap BLAS worker threads (needs threadpoolctl)")
     common.add_argument("--force", action="store_true",
                         help="unlock z at or above the inversion threshold "
                              "(unsupported; labeled in output metadata)")
@@ -655,7 +658,7 @@ def main(argv=None):
     handler = _HANDLERS[args.command]
     try:
         cfg = load_config(args.config)
-        with _thread_cap(args.threads):
+        with _thread_cap(args):
             return handler(args, cfg)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -293,22 +293,20 @@ class HamiltonianEps:
     __call__ = apply
 
     def matrix(self):
-        """Dense matrix of the operator; refuses beyond DENSE_LIMIT points."""
+        """Dense real symmetric matrix: the Kronecker sum of the per-axis kinetic
+        circulants plus the potential; refuses beyond DENSE_LIMIT points."""
         size = self.grid.size
         if size > DENSE_LIMIT:
             raise ValueError(
                 "dense assembly limited to %d points, grid has %d" % (DENSE_LIMIT, size)
             )
-        n = self.spec.n
-        eye = np.eye(size).reshape(self.grid.shape + (size,))
-        cols = np.fft.ifftn(
-            np.fft.fftn(eye, axes=tuple(range(n)))
-            * self._kin.reshape(self._kin.shape + (1,)),
-            axes=tuple(range(n)),
-        )
-        mat = cols.reshape(size, size)
-        mat = mat - self.spec.g * np.diag(self.potential.reshape(-1))
-        return mat
+        kin = np.zeros((1, 1))  # the Kronecker sum's neutral element
+        for m in self.spec.masses:
+            col = np.fft.ifft(self.grid.p ** 2 / (2.0 * m)).real
+            col = 0.5 * (col + np.roll(col[::-1], 1))
+            kin = scipy.sparse.kronsum(scipy.linalg.circulant(col), kin)
+        pot = scipy.sparse.diags(self.spec.g * self.potential.reshape(-1))
+        return (kin - pot).toarray()
 
 
 def minimum_image_separation(grid):
@@ -318,46 +316,65 @@ def minimum_image_separation(grid):
     return d * grid.h
 
 
-def solve_shifted(ham, z, rhs, tol=1e-10, maxiter=300):
-    """Solve (H_eps - z) u = rhs.
+def shifted_solver(ham, z, tol=1e-10, maxiter=300):
+    """Handle applying (H_eps - z)^{-1}, with all set-up done once here.
 
-    Small grids go through a dense LU factorization; larger ones use GMRES
-    preconditioned by the free resolvent (exact when g = 0).
+    Small grids factor the dense shifted matrix once by LU (a real one for
+    real z, so complex right-hand sides cost two triangular solves) and
+    check every solution's residual against the operator itself; larger
+    grids run GMRES preconditioned by the free resolvent (exact when
+    g = 0).  The handle tolerates trailing batch axes.
     """
-    grid, spec = ham.grid, ham.spec
-    size = grid.size
+    grid = ham.grid
+    size, shape = grid.size, grid.shape
+
+    def shifted(flat):
+        f = flat.reshape(shape + flat.shape[1:])
+        return (ham.apply(f) - z * f).reshape(flat.shape)
+
     if size <= DENSE_LIMIT:
-        mat = ham.matrix() - z * np.eye(size)
+        mat = np.asarray(ham.matrix(), dtype=np.result_type(z, float))
+        mat[np.diag_indices(size)] -= z
         try:
-            sol = scipy.linalg.solve(mat, rhs.reshape(-1))
+            lu = scipy.linalg.lu_factor(mat, overwrite_a=True)
         except scipy.linalg.LinAlgError as exc:
             raise ShiftTooCloseToSpectrum(str(exc)) from exc
-        resid = np.linalg.norm(mat @ sol - rhs.reshape(-1)) / np.linalg.norm(rhs)
-        if not np.isfinite(resid) or resid > 1e-6:
-            raise ShiftTooCloseToSpectrum(
-                "dense solve residual %.3e suggests z on the spectrum" % resid
-            )
-        return sol.reshape(rhs.shape)
 
-    r0 = free_resolvent(grid, spec.masses, z)
-    shape = rhs.shape
+        def solve(flat):
+            if np.isrealobj(lu[0]):
+                sol = (scipy.linalg.lu_solve(lu, flat.real)
+                       + 1j * scipy.linalg.lu_solve(lu, flat.imag))
+            else:
+                sol = scipy.linalg.lu_solve(lu, flat)
+            resid = np.linalg.norm(shifted(sol) - flat) / (np.linalg.norm(flat) or 1.0)
+            if not np.isfinite(resid) or resid > 1e-6:
+                raise ShiftTooCloseToSpectrum(
+                    "dense solve residual %.3e suggests z on the spectrum" % resid
+                )
+            return sol
+    else:
+        r0 = free_resolvent(grid, ham.spec.masses, z)
+        op = scipy.sparse.linalg.LinearOperator((size, size), shifted, dtype=complex)
+        pre = scipy.sparse.linalg.LinearOperator(
+            (size, size), lambda v: r0(v.reshape(shape)).reshape(-1), dtype=complex)
 
-    def matvec(vec):
-        f = vec.reshape(shape)
-        return (ham.apply(f) - z * f).reshape(-1)
+        def solve(flat):
+            cols = []
+            for rhs in flat.T:
+                sol, info = scipy.sparse.linalg.gmres(op, rhs, rtol=tol, atol=0.0,
+                                                      maxiter=maxiter, M=pre, restart=60)
+                if info != 0:
+                    resid = np.linalg.norm(shifted(sol) - rhs) / np.linalg.norm(rhs)
+                    raise NoConvergence(maxiter if info < 0 else info, resid,
+                                        "shifted GMRES solve")
+                cols.append(sol)
+            return np.stack(cols, axis=1)
 
-    def precond(vec):
-        return r0(vec.reshape(shape)).reshape(-1)
+    def apply(field):
+        field = np.asarray(field, dtype=complex)
+        return solve(field.reshape(size, -1)).reshape(field.shape)
 
-    op = scipy.sparse.linalg.LinearOperator((size, size), matvec=matvec, dtype=complex)
-    pre = scipy.sparse.linalg.LinearOperator((size, size), matvec=precond, dtype=complex)
-    sol, info = scipy.sparse.linalg.gmres(
-        op, rhs.reshape(-1), rtol=tol, atol=0.0, maxiter=maxiter, M=pre, restart=60
-    )
-    if info != 0:
-        resid = np.linalg.norm(matvec(sol) - rhs.reshape(-1)) / np.linalg.norm(rhs)
-        raise NoConvergence(maxiter if info < 0 else info, resid, "shifted GMRES solve")
-    return sol.reshape(shape)
+    return apply
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +417,10 @@ def lowest_eigenvalues(apply_op, solve, size, shift, k=1, steps=60, tol=1e-9, rn
     ``solve(v)`` must apply (Op - shift)^{-1}; ``apply_op`` is used only for
     the final residual check.  Full reorthogonalization against the stored
     basis keeps the tridiagonal honest at these modest step counts.
+
+    Raises NoConvergence when ``steps`` run out before the Ritz values settle
+    (a Krylov breakdown counts as settled), or when a Ritz residual
+    rho = ||Op x - E x|| reaches |E - shift|, so E +- rho would hold the shift.
     """
     if rng is None:
         rng = np.random.default_rng(1)
@@ -408,6 +429,7 @@ def lowest_eigenvalues(apply_op, solve, size, shift, k=1, steps=60, tol=1e-9, rn
     basis = [v]
     alphas, betas = [], []
     theta_prev = None
+    change = float("nan")
     for step in range(steps):
         w = solve(basis[-1])
         wnorm = np.linalg.norm(w)
@@ -429,19 +451,27 @@ def lowest_eigenvalues(apply_op, solve, size, shift, k=1, steps=60, tol=1e-9, rn
                 np.array(alphas), np.array(betas), eigvals_only=True
             )
             top = np.sort(theta)[::-1][:k]
-            if theta_prev is not None and len(top) == k:
-                if np.max(np.abs(top - theta_prev)) < tol * max(1.0, np.max(np.abs(top))):
-                    theta_prev = top
-                    break
+            if theta_prev is not None:
+                change = np.max(np.abs(top - theta_prev))
             theta_prev = top
+            if change < tol * max(1.0, np.max(np.abs(top))):
+                break
         if beta < 1e-13:
-            break
+            break  # invariant subspace: the Ritz values are exact
         betas.append(beta)
         basis.append(w / beta)
+    else:
+        theta_prev = None  # steps ran out before the Ritz values settled
     if theta_prev is None:
-        raise NoConvergence(steps, float("nan"), "Lanczos eigenvalue iteration")
-    eigs = sorted(shift + 1.0 / t for t in theta_prev)
-    return eigs
+        raise NoConvergence(steps, change, "Lanczos eigenvalue iteration")
+    # unit Ritz vectors (orthonormal basis, unit eigenvectors), largest theta first
+    vecs = scipy.linalg.eigh_tridiagonal(np.array(alphas), np.array(betas))[1]
+    ritz = np.stack(basis[:len(alphas)], axis=1) @ vecs[:, ::-1][:, :k]
+    eigs = shift + 1.0 / theta_prev
+    rho = np.array([np.linalg.norm(apply_op(x) - e * x) for e, x in zip(eigs, ritz.T)])
+    if not np.all(rho < np.abs(eigs - shift)):
+        raise NoConvergence(len(alphas), np.max(rho), "Lanczos residual check")
+    return sorted(eigs)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from . import blocks as blocksmod
@@ -38,10 +37,9 @@ from .errors import ConfigError, NoConvergence
 class DirectAssembly:
     """(H_eps - z)^{-1} by direct linear solves on the full lattice.
 
-    Small grids get a cached LU factorization of the shifted matrix (real
-    for real z, so complex right-hand sides cost two triangular solves);
-    large grids fall back to the iterative shifted solver per
-    application.  The only route that accepts complex z.
+    Holds one shifted-solver handle: a dense LU factored once on small
+    grids, preconditioned GMRES above that.  The only route that accepts
+    complex z.
     """
 
     mode = "direct"
@@ -58,35 +56,10 @@ class DirectAssembly:
         self.eps = float(eps)
         self.tol = float(tol)
         self.ham = build_hamiltonian(grid, spec, eps, profile)
-        self._lu = None
-        self._real_shift = isinstance(z, float)
-        if grid.size <= gridmod.DENSE_LIMIT:
-            mat = self.ham.matrix()
-            mat = 0.5 * (mat + mat.conj().T)
-            eye = np.eye(grid.size)
-            if self._real_shift:
-                self._lu = scipy.linalg.lu_factor(mat.real - self.z * eye)
-            else:
-                self._lu = scipy.linalg.lu_factor(mat - self.z * eye)
+        self._solve = gridmod.shifted_solver(self.ham, z, tol=self.tol)
 
     def apply(self, field):
-        field = np.asarray(field, dtype=complex)
-        flat = field.reshape(self.grid.size, -1)
-        if self._lu is not None:
-            if self._real_shift:
-                sol = scipy.linalg.lu_solve(self._lu, flat.real) + 1j * (
-                    scipy.linalg.lu_solve(self._lu, flat.imag)
-                )
-            else:
-                sol = scipy.linalg.lu_solve(self._lu, flat)
-            return sol.reshape(field.shape)
-        cols = [
-            gridmod.solve_shifted(
-                self.ham, self.z, flat[:, k].reshape(self.grid.shape), tol=self.tol
-            ).reshape(-1)
-            for k in range(flat.shape[1])
-        ]
-        return np.stack(cols, axis=1).reshape(field.shape)
+        return self._solve(field)
 
     __call__ = apply
 
@@ -448,15 +421,9 @@ def ground_energy(grid, spec, eps, shift=-2.0, steps=80, tol=1e-9,
     dense or preconditioned-iterative solver depending on grid size.
     """
     ham = build_hamiltonian(grid, spec, eps, profile)
-
-    def solve(vec):
-        out = gridmod.solve_shifted(ham, shift, vec.reshape(grid.shape),
-                                    tol=solver_tol)
-        return out.reshape(-1)
-
-    def apply_op(vec):
-        return ham.apply(vec.reshape(grid.shape)).reshape(-1)
-
-    eigs = gridmod.lowest_eigenvalues(apply_op, solve, grid.size, shift,
-                                      k=1, steps=steps, tol=tol, rng=rng)
+    solve = gridmod.shifted_solver(ham, shift, tol=solver_tol)
+    eigs = gridmod.lowest_eigenvalues(
+        lambda vec: ham.apply(vec.reshape(grid.shape)).reshape(-1),
+        lambda vec: solve(vec.reshape(grid.shape)).reshape(-1),
+        grid.size, shift, k=1, steps=steps, tol=tol, rng=rng)
     return float(eigs[0])

@@ -118,6 +118,16 @@ def test_hamiltonian_is_hermitian_and_dense_matrix_matches_apply():
     assert np.allclose(ham.apply(f).ravel(), mat @ f.ravel(), atol=1e-10)
 
 
+def test_dense_matrix_matches_apply_three_particles():
+    """The Kronecker-sum assembly handles three axes with unequal masses."""
+    spec = SystemSpec(masses=(1.0, 2.0, 3.0), g=1.0)
+    grid = Grid(16, 3.2, 3)
+    ham = build_hamiltonian(grid, spec, 0.8)
+    rng = np.random.default_rng(2)
+    f = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    assert np.max(np.abs(ham.matrix() @ f.ravel() - ham.apply(f).ravel())) < 1e-10
+
+
 def test_hamiltonian_potential_term_signs():
     """Attractive coupling lowers the Rayleigh quotient of a peaked state."""
     spec_att = SystemSpec(masses=(1.0, 1.0), g=1.0)

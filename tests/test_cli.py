@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 
 import pytest
 
@@ -125,6 +126,16 @@ def test_spectrum_single_width(tmp_path):
     assert "relative_deviation" not in meta
 
 
+def test_spectrum_unconverged_lanczos_is_a_solver_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "\n".join([
+        "[grid]", "npoints = 32", "box = 6.4",
+        "[spectrum]", "eps = 0.8", "steps = 3", "",
+    ]))
+    assert run("spectrum", "--config", cfg,
+               "--out", str(tmp_path / "reports")) == 3
+    assert "did not converge" in capsys.readouterr().err
+
+
 def test_spectrum_repulsive_stays_nonnegative(tmp_path):
     cfg = write_config(tmp_path, "\n".join([
         "[system]", "g = -1.0",
@@ -222,6 +233,20 @@ def test_argument_validation(tmp_path, capsys):
     assert run("kernels", "--threads", "0", "--out", out) == 2
     err = capsys.readouterr().err
     assert "seed" in err and "--threads" in err
+
+
+def test_thread_cap_not_applied_is_recorded_as_null(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    plain, capped = tmp_path / "plain", tmp_path / "capped"
+    assert run("kernels", "--out", str(plain)) == 0
+    assert capsys.readouterr().err == ""
+    assert run("kernels", "--threads", "2", "--out", str(capped)) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--threads 2 not applied" in err
+    assert read_json(capped / "kernels.json")["threads"] is None
+    assert ((capped / "kernels.csv").read_bytes()
+            == (plain / "kernels.csv").read_bytes())
 
 
 def test_bad_grid_size_is_a_config_error(tmp_path, capsys):

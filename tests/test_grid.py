@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from deltaresolvent.errors import ShiftTooCloseToSpectrum
+from deltaresolvent.errors import NoConvergence, ShiftTooCloseToSpectrum
 from deltaresolvent.grid import (Grid, apply_free_hamiltonian, free_resolvent,
                                  from_momentum, kinetic_multiplier,
                                  lab_axes_from_front, lab_axes_to_front,
                                  lowest_eigenvalues, minimum_image_separation,
                                  operator_norm, pair_frame_adjoint,
                                  pair_frame_forward, random_band_limited,
-                                 save_field, load_field, solve_shifted,
+                                 save_field, load_field, shifted_solver,
                                  to_momentum)
 from deltaresolvent.system import SystemSpec, enumerate_pairs, frame_weights
 from deltaresolvent.bump import build_hamiltonian
+from deltaresolvent.resolvent import DirectAssembly
 
 
 def plane_wave(grid, k_index):
@@ -162,14 +163,14 @@ def test_solve_shifted_dense_and_iterative_agree():
     rng = np.random.default_rng(6)
     rhs = rng.standard_normal(small.shape)
     z = -5.0
-    u = solve_shifted(ham, z, rhs)
+    u = shifted_solver(ham, z)(rhs)
     res = ham.apply(u) - z * u - rhs
     assert np.linalg.norm(res) / np.linalg.norm(rhs) < 1e-9
 
     big = Grid(128, 25.6, 2)     # 16384 unknowns: preconditioned iteration
     ham_big = build_hamiltonian(big, spec, 0.8)
     rhs_big = rng.standard_normal(big.shape)
-    u_big = solve_shifted(ham_big, z, rhs_big)
+    u_big = shifted_solver(ham_big, z)(rhs_big)
     res = ham_big.apply(u_big) - z * u_big - rhs_big
     assert np.linalg.norm(res) / np.linalg.norm(rhs_big) < 1e-8
 
@@ -181,7 +182,28 @@ def test_solve_shifted_rejects_near_spectrum_shift():
     # the dense matrix tells us an exact eigenvalue to aim at
     eigs = np.linalg.eigvalsh(ham.matrix())
     with pytest.raises(ShiftTooCloseToSpectrum):
-        solve_shifted(ham, eigs[0], np.ones(grid.shape))
+        shifted_solver(ham, eigs[0])(np.ones(grid.shape))
+    with pytest.raises(ShiftTooCloseToSpectrum):
+        DirectAssembly(grid, spec, eigs[0], 0.8).apply(np.ones(grid.shape))
+
+
+@pytest.mark.parametrize("npoints, box, z", [(32, 6.4, -5.0),
+                                             (32, 6.4, complex(-5.0, 0.5)),
+                                             (128, 12.8, -5.0)])
+def test_shifted_solver_batch_matches_columns(npoints, box, z):
+    """Trailing batch axes give the per-column solutions, dense and GMRES."""
+    spec = SystemSpec(masses=(1.0, 2.0), g=1.0)
+    grid = Grid(npoints, box, 2)
+    solve = shifted_solver(build_hamiltonian(grid, spec, 0.8), z)
+    rng = np.random.default_rng(11)
+    batch = (rng.standard_normal(grid.shape + (2,))
+             + 1j * rng.standard_normal(grid.shape + (2,)))
+    together = solve(batch)
+    assert together.shape == batch.shape
+    for col in range(batch.shape[-1]):
+        alone = solve(batch[..., col])
+        assert np.linalg.norm(together[..., col] - alone) <= (
+            1e-12 * np.linalg.norm(alone))
 
 
 def test_operator_norm_matches_dense_svd():
@@ -209,12 +231,33 @@ def test_lowest_eigenvalues_on_dense_oracle():
     dense = ham.matrix()
     exact = np.linalg.eigvalsh(dense)
     shift = -2.0
+    solve = shifted_solver(ham, shift)
     got = lowest_eigenvalues(
         lambda v: ham.apply(v.reshape(grid.shape)).ravel(),
-        lambda v: solve_shifted(ham, shift, v.reshape(grid.shape)).ravel(),
+        lambda v: solve(v.reshape(grid.shape)).ravel(),
         grid.size, shift, k=2, steps=60, rng=np.random.default_rng(9))
     assert got[0] == pytest.approx(exact[0], abs=1e-8)
     assert got[1] == pytest.approx(exact[1], abs=1e-6)
+
+
+def test_lowest_eigenvalues_raises_instead_of_returning_unconverged():
+    diag = np.linspace(1.0, 40.0, 40)
+    shift = 0.5
+
+    def solve(v):
+        return v / (diag - shift)
+
+    exact = lowest_eigenvalues(lambda v: diag * v, solve, 40, shift, steps=60,
+                               rng=np.random.default_rng(12))
+    assert exact[0] == pytest.approx(1.0, abs=1e-10)
+    # too few steps for the Ritz values to settle
+    with pytest.raises(NoConvergence):
+        lowest_eigenvalues(lambda v: diag * v, solve, 40, shift, steps=3,
+                           rng=np.random.default_rng(12))
+    # settled Ritz values whose residual against the operator reaches the shift
+    with pytest.raises(NoConvergence):
+        lowest_eigenvalues(lambda v: 3.0 * diag * v, solve, 40, shift, steps=60,
+                           rng=np.random.default_rng(12))
 
 
 def test_save_and_load_roundtrip(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from deltaresolvent.errors import AboveThreshold, ConfigError
-from deltaresolvent.grid import Grid, operator_norm, random_band_limited
+from deltaresolvent.errors import AboveThreshold, ConfigError, NoConvergence
+from deltaresolvent.grid import (Grid, HamiltonianEps, operator_norm,
+                                 random_band_limited)
 from deltaresolvent.resolvent import (DirectAssembly, FactoredAssembly,
                                       TraceAssembly, apply_kk_resolvent,
                                       apply_limit_resolvent,
@@ -257,6 +259,32 @@ def test_ground_energy_small_box():
     e = ground_energy(grid, SPEC2, 0.8, shift=-2.0, steps=40,
                       rng=np.random.default_rng(15))
     assert e == pytest.approx(E0_SMALL_BOX, abs=1e-4)
+
+
+def test_ground_energy_assembles_and_factors_once(monkeypatch):
+    """Every Lanczos step reuses one dense matrix and one LU factorization."""
+    counts = {"lu_factor": 0, "matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor",
+                        counted("lu_factor", scipy.linalg.lu_factor))
+    monkeypatch.setattr(HamiltonianEps, "matrix",
+                        counted("matrix", HamiltonianEps.matrix))
+    e = ground_energy(Grid(32, 6.4, 2), SPEC2, 0.8, shift=-2.0, steps=40,
+                      rng=np.random.default_rng(15))
+    assert e == pytest.approx(E0_SMALL_BOX, abs=1e-4)
+    assert counts == {"lu_factor": 1, "matrix": 1}
+
+
+def test_ground_energy_raises_when_steps_run_out():
+    """Three steps leave the Ritz value far from settled (it would read > 0)."""
+    with pytest.raises(NoConvergence):
+        ground_energy(Grid(32, 12.8, 2), SPEC2, 1.6, steps=3)
 
 
 def test_ground_energy_repulsive_has_no_bound_state():
