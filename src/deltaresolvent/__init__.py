@@ -17,16 +17,14 @@ from .bump import DEFAULT_PROFILE, BumpProfile, build_hamiltonian, coupling_map
 from .errors import (AboveThreshold, ConfigError, DeltaResolventError,
                      NoConvergence, PotentialOverflowsBox, SeriesDiverging,
                      ShiftTooCloseToSpectrum, SingularAtOrigin,
-                     SupportEscapesBox, UnresolvedBump)
+                     UnresolvedBump)
 from .forms import (apply_trace, evaluate_form, fourier_trace_identities,
                     h1_norm_squared, momentum_trace, trace_adjoint)
 from .greens import greens_closed, greens_quadrature
 from .grid import (Grid, free_resolvent, lowest_eigenvalues, operator_norm,
                    random_band_limited, shifted_solver)
 from .resolvent import (DirectAssembly, FactoredAssembly, TraceAssembly,
-                        apply_kk_resolvent, apply_limit_resolvent,
-                        apply_theta_resolvent, assemble, convergence_sweep,
-                        ground_energy, pole_scan)
+                        assemble, convergence_sweep, ground_energy, pole_scan)
 from .system import SystemSpec, bound_constants, enumerate_pairs, parse_masses
 
 __all__ = [
@@ -46,14 +44,10 @@ __all__ = [
     "SeriesDiverging",
     "ShiftTooCloseToSpectrum",
     "SingularAtOrigin",
-    "SupportEscapesBox",
     "SystemSpec",
     "TraceAssembly",
     "UnresolvedBump",
     "analytic_multiplier",
-    "apply_kk_resolvent",
-    "apply_limit_resolvent",
-    "apply_theta_resolvent",
     "apply_trace",
     "assemble",
     "bound_constants",

@@ -18,9 +18,12 @@ with R0 the free resolvent.  This module provides
   * OffDiagonalBlock: the factorized limit kernel between two distinct
     pairs, reduced to a 3- or 4-dimensional displacement fed to the
     free-space kernel, for norm measurements against K |g| / sqrt(|z|);
-  * LambdaMatrix / invert_lambda: application and guarded inversion of
-    the full block system, exact per-momentum-slice materialization of
-    the diagonal blocks, and a tail-bounded outer iteration for the
+  * ChannelSystem: what every channel route shares -- threshold and
+    Neumann bookkeeping, the channel applications and the resolvent
+    formula -- around subclass hooks for the channel map itself;
+  * LambdaMatrix / invert_lambda: the coupling-map channel system, exact
+    per-momentum-slice materialization of its diagonal blocks, and the
+    guarded inversion with a tail-bounded outer iteration for the
     off-diagonal part.
 
 Reduced coordinate order is fixed everywhere as (pair center of mass,
@@ -254,8 +257,7 @@ class OffDiagonalBlock:
 
     The explicit kernel lattice is implemented for the two smallest
     systems exhibiting each geometry (three particles for a shared
-    member, four for disjoint pairs).  apply() composes the same block
-    through lab space instead and works for any particle count.
+    member, four for disjoint pairs).
     """
 
     def __init__(self, grid, spec, sigma, nu, z, profile=DEFAULT_PROFILE):
@@ -373,13 +375,6 @@ class OffDiagonalBlock:
         consts = sysmod.bound_constants(self.spec)
         return consts.offdiag_coeff * abs(self.spec.g) / math.sqrt(-self.z)
 
-    def apply(self, chi_nu):
-        """Apply the same block through lab space (any particle count)."""
-        a_sig = coupling_map(self.grid, self.spec, self.sigma, None, self.profile)
-        a_nu = coupling_map(self.grid, self.spec, self.nu, None, self.profile)
-        rfree = gridmod.free_resolvent(self.grid, self.spec.masses, self.z)
-        return self.spec.g * a_sig.forward(rfree(a_nu.adjoint(chi_nu)))
-
 
 # ---------------------------------------------------------------------------
 # The assembled block system
@@ -413,35 +408,36 @@ def materialize_diagonal_slices(grid, spec, coupling, rfree, g):
     return sup, mats
 
 
-class LambdaMatrix:
-    """The coupled channel system 1 - g A R0 A* at one spectral parameter.
+def channel_norm(fields):
+    """Euclidean norm of a list of channel fields (no grid weight)."""
+    return math.sqrt(sum(float(np.sum(np.abs(c) ** 2)) for c in fields))
 
-    Holds one coupling map per pair (limit maps for eps=None, sheared or
-    narrow-width maps otherwise) and applies the blocks through lab
-    space, so a full application costs one free-resolvent solve
-    regardless of the number of pairs.  Diagonal blocks can be inverted
-    exactly: in closed form for the limit maps (rank-one in the relative
-    coordinate) and by per-momentum-slice solves on the coupling support
-    otherwise.
+
+class ChannelSystem:
+    """The channel matrix 1 - g T R0 T* of one channel map T = (T_k).
+
+    Holds what every channel route shares: the guarded spectral
+    parameter, the pairs, the free resolvent R0, the a priori threshold
+    and Neumann bookkeeping, the channel applications, and the resolvent
+    formula R0 + g R0 T* (1 - g T R0 T*)^{-1} T R0.  A subclass supplies
+    its own arithmetic for T through four hooks:
+
+      lift(k, f)               T_k f, a lab field to channel k;
+      drop(k, chi)             T_k* chi, channel k back to a lab field;
+      own(k, chi)              T_k R0 T_k* chi, a same-pair block without g;
+      apply_diag_inverse(fs)   exact inverse of the same-pair blocks.
     """
 
-    def __init__(self, grid, spec, z, eps=None, profile=DEFAULT_PROFILE,
-                 force_chain=False):
+    def __init__(self, grid, spec, z):
         z = float(z)
         if z >= 0:
             raise ValueError("channel system requires a real negative z")
         self.grid = grid
         self.spec = spec
-        self.z = float(z)
-        self.eps = None if eps is None else float(eps)
-        self.profile = profile
+        self.z = z
         self.pairs = sysmod.enumerate_pairs(spec)
-        self.maps = [coupling_map(grid, spec, p, eps, profile, force_chain)
-                     for p in self.pairs]
-        self.rfree = gridmod.free_resolvent(grid, spec.masses, self.z)
+        self.rfree = gridmod.free_resolvent(grid, spec.masses, z)
         self.constants = sysmod.bound_constants(spec)
-        self._limit_cache = None
-        self._slice_cache = None
 
     # -- norm bookkeeping ---------------------------------------------------
 
@@ -463,34 +459,77 @@ class LambdaMatrix:
 
     # -- applications ---------------------------------------------------------
 
-    def apply(self, fields):
+    def smoothed(self, fields):
+        """R0 of the sum of the channel adjoints T_k* fields[k]."""
+        total = self.drop(0, fields[0])
+        for k in range(1, len(fields)):
+            total = total + self.drop(k, fields[k])
+        return self.rfree(total)
+
+    def channel_apply(self, fields):
         """Full system application on one channel field per pair."""
-        total = self.maps[0].adjoint(fields[0])
-        for cmap, field in zip(self.maps[1:], fields[1:]):
-            total = total + cmap.adjoint(field)
-        smoothed = self.rfree(total)
+        smoothed = self.smoothed(fields)
         g = self.spec.g
-        return [field - g * cmap.forward(smoothed)
-                for cmap, field in zip(self.maps, fields)]
+        return [f - g * self.lift(k, smoothed) for k, f in enumerate(fields)]
 
     def apply_diag(self, fields):
         """Only the same-pair blocks of the system."""
         g = self.spec.g
-        return [field - g * cmap.forward(self.rfree(cmap.adjoint(field)))
-                for cmap, field in zip(self.maps, fields)]
+        return [f - g * self.own(k, f) for k, f in enumerate(fields)]
 
     def apply_offdiag(self, fields):
         """Only the distinct-pair blocks (zero on the diagonal)."""
-        total = self.maps[0].adjoint(fields[0])
-        for cmap, field in zip(self.maps[1:], fields[1:]):
-            total = total + cmap.adjoint(field)
-        smoothed = self.rfree(total)
+        smoothed = self.smoothed(fields)
         g = self.spec.g
-        out = []
-        for cmap, field in zip(self.maps, fields):
-            own = cmap.forward(self.rfree(cmap.adjoint(field)))
-            out.append(-g * (cmap.forward(smoothed) - own))
-        return out
+        return [-g * (self.lift(k, smoothed) - self.own(k, f))
+                for k, f in enumerate(fields)]
+
+    # -- the resolvent --------------------------------------------------------
+
+    def solve_channels(self, fields, tol, max_terms, force):
+        """Solve (1 - g T R0 T*) x = fields by the guarded Neumann iteration."""
+        return invert_lambda(self, fields, tol=tol, max_terms=max_terms,
+                             force=force)
+
+    def resolve(self, field, tol, max_terms, force):
+        """(H - z)^{-1} field as R0 f + g R0 T* (1 - g T R0 T*)^{-1} T R0 f."""
+        u0 = self.rfree(np.asarray(field, dtype=complex))
+        channels = [self.lift(k, u0) for k in range(len(self.pairs))]
+        sol = self.solve_channels(channels, tol, max_terms, force)
+        return u0 + self.spec.g * self.smoothed(sol)
+
+
+class LambdaMatrix(ChannelSystem):
+    """The coupled channel system 1 - g A R0 A* at one spectral parameter.
+
+    Holds one coupling map per pair (limit maps for eps=None, sheared or
+    narrow-width maps otherwise) and applies the blocks through lab
+    space, so a full application costs one free-resolvent solve
+    regardless of the number of pairs.  Diagonal blocks can be inverted
+    exactly: in closed form for the limit maps (rank-one in the relative
+    coordinate) and by per-momentum-slice solves on the coupling support
+    otherwise.
+    """
+
+    def __init__(self, grid, spec, z, eps=None, profile=DEFAULT_PROFILE,
+                 force_chain=False):
+        super().__init__(grid, spec, z)
+        self.eps = None if eps is None else float(eps)
+        self.profile = profile
+        self.maps = [coupling_map(grid, spec, p, eps, profile, force_chain)
+                     for p in self.pairs]
+        self._limit_cache = None
+        self._slice_cache = None
+
+    def lift(self, k, field):
+        return self.maps[k].forward(field)
+
+    def drop(self, k, chi):
+        return self.maps[k].adjoint(chi)
+
+    def own(self, k, chi):
+        cmap = self.maps[k]
+        return cmap.forward(self.rfree(cmap.adjoint(chi)))
 
     # -- diagonal inversion ---------------------------------------------------
 
@@ -564,7 +603,7 @@ def invert_lambda(lam, fields, tol=1e-10, max_terms=200, force=False):
         raise SeriesDiverging(
             "off-diagonal contraction ratio %.3f is not below one" % ratio)
     total = [c.copy() for c in current]
-    scale = math.sqrt(sum(float(np.sum(np.abs(c) ** 2)) for c in current))
+    scale = channel_norm(current)
     if scale == 0.0:
         return total
     # The tail after the last computed term is geometrically dominated:
@@ -572,7 +611,7 @@ def invert_lambda(lam, fields, tol=1e-10, max_terms=200, force=False):
     factor = ratio / (1.0 - ratio)
     terms = 0
     while True:
-        size = math.sqrt(sum(float(np.sum(np.abs(c) ** 2)) for c in current))
+        size = channel_norm(current)
         if size * factor <= tol * scale:
             return total
         terms += 1

@@ -13,7 +13,7 @@ import scipy.integrate
 
 from . import grid as gridmod
 from . import system as sysmod
-from .errors import PotentialOverflowsBox, SupportEscapesBox, UnresolvedBump
+from .errors import PotentialOverflowsBox, UnresolvedBump
 
 # Normalization for support radius 1, frozen from an adaptive-quadrature
 # calibration (see BumpProfile.calibrated); integral of v^2 equals 1.
@@ -68,11 +68,6 @@ class BumpProfile:
 DEFAULT_PROFILE = BumpProfile()
 
 
-def grid_samples(grid, profile=DEFAULT_PROFILE):
-    """Profile sampled on the grid's coordinate axis."""
-    return profile.value(grid.x)
-
-
 def renormalized_samples(grid, profile=DEFAULT_PROFILE):
     """Profile samples rescaled so the grid quadrature of v^2 is exactly one.
 
@@ -85,30 +80,22 @@ def renormalized_samples(grid, profile=DEFAULT_PROFILE):
     return v / np.sqrt(mass)
 
 
-def dilate(grid, field, eps, profile=DEFAULT_PROFILE):
-    """Unitary squeeze (u_eps f)(r) = sqrt(eps) * f(eps r) along axis 0."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if eps > 1.0:
-        raise SupportEscapesBox(
-            "dilation by eps = %g needs samples outside the box" % eps
-        )
-    return np.sqrt(eps) * gridmod.dilation_eval(grid, field, eps)
+def check_fits_box(grid, eps, profile=DEFAULT_PROFILE):
+    """Raise PotentialOverflowsBox unless the width-eps bump fits in half the box.
 
-
-def dilate_adjoint(grid, field, eps):
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return np.sqrt(eps) * gridmod.dilation_eval_adjoint(grid, field, eps)
-
-
-def sampled_pair_potential(grid, eps, profile=DEFAULT_PROFILE):
-    """V_eps at the wrapped pairwise separation, as a 2-d array over (i, j) indices."""
+    A wider bump overlaps its own periodic images, so what the grid
+    samples is no longer V_eps.
+    """
     if eps * profile.support_radius >= grid.box / 2:
         raise PotentialOverflowsBox(
             "support radius %g exceeds half box %g"
             % (eps * profile.support_radius, grid.box / 2)
         )
+
+
+def sampled_pair_potential(grid, eps, profile=DEFAULT_PROFILE):
+    """V_eps at the wrapped pairwise separation, as a 2-d array over (i, j) indices."""
+    check_fits_box(grid, eps, profile)
     sep = gridmod.minimum_image_separation(grid)
     return profile.scaled_potential(sep, eps)
 
@@ -252,12 +239,14 @@ class LimitCouplingMap:
 def coupling_map(grid, spec, pair, eps=None, profile=DEFAULT_PROFILE, force_chain=False):
     """Pick the coupling factorization for one pair.
 
-    eps=None yields the limit map.  Positive eps dispatches on the
+    eps=None yields the limit map.  Positive eps must fit the bump in
+    half the box (PotentialOverflowsBox otherwise) and dispatches on the
     resolution rule: the exact shear when the grid resolves the scaled
     bump, the narrow-width chain otherwise (or always with force_chain).
     """
     if eps is None:
         return LimitCouplingMap(grid, spec, pair, profile)
+    check_fits_box(grid, eps, profile)
     if not force_chain and resolution_ok(grid, eps, profile):
         return ShearCouplingMap(grid, spec, pair, eps, profile)
     return ChainCouplingMap(grid, spec, pair, eps, profile)

@@ -83,8 +83,7 @@ from . import system as sysmod
 from .bump import DEFAULT_PROFILE
 from .errors import (AboveThreshold, ConfigError, DeltaResolventError,
                      NoConvergence, PotentialOverflowsBox, SeriesDiverging,
-                     ShiftTooCloseToSpectrum, SupportEscapesBox,
-                     UnresolvedBump)
+                     ShiftTooCloseToSpectrum, UnresolvedBump)
 
 _FLOAT_FMT = "%.17g"
 
@@ -234,8 +233,17 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _out_dir(args):
+def _write_report(args, command, wallclock_ms, header, rows, fields):
+    """Write <command>.csv and <command>.json; return the report directory.
+
+    The JSON payload is the run metadata updated with ``fields``.
+    """
     out = args.out or os.environ.get("DELTARESOLVENT_OUT") or "reports"
+    os.makedirs(out, exist_ok=True)
+    _write_csv(os.path.join(out, command + ".csv"), header, rows)
+    payload = _metadata(args, command, wallclock_ms)
+    payload.update(fields)
+    _write_json(os.path.join(out, command + ".json"), payload)
     return out
 
 
@@ -264,19 +272,15 @@ def cmd_converge(args, cfg):
         tol=tol)
     wall = 1000.0 * (time.perf_counter() - start)
 
-    out = _out_dir(args)
-    os.makedirs(out, exist_ok=True)
     rows = [(e.level, e.npoints, e.box, e.z, e.eps, e.distance, e.spread)
             for e in report.entries]
-    _write_csv(os.path.join(out, "converge.csv"),
-               ("level", "npoints", "box", "z", "eps", "distance", "spread"),
-               rows)
     monotone = {}
     for level in range(len(grids)):
         for z in z_values:
             monotone["%d,%g" % (level, z)] = report.monotone(level, z)
-    payload = _metadata(args, "converge", wall)
-    payload.update({
+    _write_report(args, "converge", wall,
+                  ("level", "npoints", "box", "z", "eps", "distance", "spread"),
+                  rows, {
         "spec": {"masses": list(spec.masses), "g": spec.g},
         "grid": [{"npoints": g.npoints, "box": g.box} for g in grids],
         "z": z_values,
@@ -290,7 +294,6 @@ def cmd_converge(args, cfg):
         "orders": {"%d,%g" % k: v for k, v in report.orders.items()},
         "monotone": monotone,
     })
-    _write_json(os.path.join(out, "converge.json"), payload)
     ok = all(monotone.values())
     print("converge: %d entries, monotone=%s" % (len(report.entries), ok))
     return 0 if ok else 4
@@ -329,12 +332,7 @@ def cmd_spectrum(args, cfg):
         table[level] = (energies, extrapolated)
     wall = 1000.0 * (time.perf_counter() - start)
 
-    out = _out_dir(args)
-    os.makedirs(out, exist_ok=True)
-    _write_csv(os.path.join(out, "spectrum.csv"),
-               ("level", "npoints", "box", "eps", "energy", "note"), rows)
-    payload = _metadata(args, "spectrum", wall)
-    payload.update({
+    fields = {
         "spec": {"masses": list(spec.masses), "g": spec.g},
         "grid": [{"npoints": g.npoints, "box": g.box} for g in grids],
         "eps": eps_values,
@@ -343,15 +341,17 @@ def cmd_spectrum(args, cfg):
             str(level): {"energies": energies, "extrapolated": extrapolated}
             for level, (energies, extrapolated) in table.items()
         },
-    })
+    }
     if spec.n == 2 and spec.g > 0:
         pair = sysmod.enumerate_pairs(spec)[0]
         analytic = -pair.mu * spec.g ** 2 / 2.0
-        payload["analytic"] = analytic
+        fields["analytic"] = analytic
         last = table[len(grids) - 1][1]
         if last is not None:
-            payload["relative_deviation"] = abs(last - analytic) / abs(analytic)
-    _write_json(os.path.join(out, "spectrum.json"), payload)
+            fields["relative_deviation"] = abs(last - analytic) / abs(analytic)
+    _write_report(args, "spectrum", wall,
+                  ("level", "npoints", "box", "eps", "energy", "note"), rows,
+                  fields)
     for level, (energies, extrapolated) in table.items():
         msg = ", ".join("E(%g)=%.6f" % (w, e)
                         for w, e in zip(eps_values, energies))
@@ -394,25 +394,20 @@ def cmd_bounds(args, cfg):
     block_rows = _default_block_rows(args.seed)
     wall = 1000.0 * (time.perf_counter() - start)
 
-    out = _out_dir(args)
-    os.makedirs(out, exist_ok=True)
     rows = [(r.name, json.dumps(r.inputs, sort_keys=True), r.claimed,
              r.measured, r.mc_ci, "PASS" if r.passed else "FAIL")
             for r in results]
-    _write_csv(os.path.join(out, "bounds.csv"),
-               ("name", "inputs", "claimed", "measured", "ci", "verdict"),
-               rows)
+    failed = [r for r in results if not r.passed]
+    out = _write_report(
+        args, "bounds", wall,
+        ("name", "inputs", "claimed", "measured", "ci", "verdict"), rows, {
+            "samples": samples,
+            "audits": len(results),
+            "failed": [r.name for r in failed],
+            "block_rows": len(block_rows),
+        })
     _write_csv(os.path.join(out, "blocks.csv"),
                ("sigma", "nu", "eps", "norm", "bound", "ratio"), block_rows)
-    failed = [r for r in results if not r.passed]
-    payload = _metadata(args, "bounds", wall)
-    payload.update({
-        "samples": samples,
-        "audits": len(results),
-        "failed": [r.name for r in failed],
-        "block_rows": len(block_rows),
-    })
-    _write_json(os.path.join(out, "bounds.json"), payload)
     print("bounds: %d audits, %d failed" % (len(results), len(failed)))
     for r in failed:
         print("  FAIL %s %s claimed=%.6g measured=%.6g"
@@ -454,14 +449,9 @@ def cmd_kernels(args, cfg):
                              "quadrature"))
     wall = 1000.0 * (time.perf_counter() - start)
 
-    out = _out_dir(args)
-    os.makedirs(out, exist_ok=True)
-    _write_csv(os.path.join(out, "kernels.csv"),
-               ("d", "z", "x", "value", "method"), rows)
-    payload = _metadata(args, "kernels", wall)
-    payload.update({"dims": dims, "z": z_values,
-                    "lattice": [float(x) for x in lattice]})
-    _write_json(os.path.join(out, "kernels.json"), payload)
+    _write_report(args, "kernels", wall, ("d", "z", "x", "value", "method"),
+                  rows, {"dims": dims, "z": z_values,
+                         "lattice": [float(x) for x in lattice]})
     print("kernels: %d rows" % len(rows))
     return 0
 
@@ -497,12 +487,7 @@ def cmd_kk_check(args, cfg):
         rows.append((k, dev))
     wall = 1000.0 * (time.perf_counter() - start)
 
-    out = _out_dir(args)
-    os.makedirs(out, exist_ok=True)
-    _write_csv(os.path.join(out, "kk-check.csv"), ("probe", "deviation"),
-               rows)
-    payload = _metadata(args, "kk-check", wall)
-    payload.update({
+    _write_report(args, "kk-check", wall, ("probe", "deviation"), rows, {
         "spec": {"masses": list(spec.masses), "g": spec.g},
         "grid": {"npoints": grid.npoints, "box": grid.box},
         "z": z,
@@ -513,7 +498,6 @@ def cmd_kk_check(args, cfg):
         "wallclock_ms": wall,
         "threshold": threshold,
     })
-    _write_json(os.path.join(out, "kk-check.json"), payload)
     print("kk-check: max relative deviation %.3e over %d probes"
           % (worst, probes))
     return 0 if worst < threshold else 4
@@ -576,19 +560,14 @@ def cmd_forms(args, cfg):
                          "PASS" if verdict else "FAIL"))
     wall = 1000.0 * (time.perf_counter() - start)
 
-    out = _out_dir(args)
-    os.makedirs(out, exist_ok=True)
-    _write_csv(os.path.join(out, "forms.csv"),
-               ("check", "field", "value", "threshold", "verdict"), rows)
-    payload = _metadata(args, "forms", wall)
-    payload.update({
+    _write_report(args, "forms", wall,
+                  ("check", "field", "value", "threshold", "verdict"), rows, {
         "spec": {"masses": list(spec.masses), "g": spec.g},
         "grid": {"npoints": grid.npoints, "box": grid.box},
         "count": count,
         "checks": len(rows),
         "all_pass": ok,
     })
-    _write_json(os.path.join(out, "forms.json"), payload)
     print("forms: %d checks, all_pass=%s" % (len(rows), ok))
     return 0 if ok else 4
 
@@ -666,7 +645,7 @@ def main(argv=None):
     except AboveThreshold as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    except (UnresolvedBump, PotentialOverflowsBox, SupportEscapesBox) as exc:
+    except (UnresolvedBump, PotentialOverflowsBox) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except (NoConvergence, SeriesDiverging, ShiftTooCloseToSpectrum) as exc:

@@ -21,10 +21,6 @@ class UnresolvedBump(DeltaResolventError):
     """
 
 
-class SupportEscapesBox(DeltaResolventError):
-    """A dilated field would be evaluated outside the computational box."""
-
-
 class SingularAtOrigin(DeltaResolventError):
     """Green's function evaluation requested at its singular point."""
 

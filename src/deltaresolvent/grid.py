@@ -7,8 +7,6 @@ arrays; every map here tolerates extra trailing axes so batches of fields
 can be pushed through in one call.
 """
 
-import struct
-
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
@@ -472,28 +470,3 @@ def lowest_eigenvalues(apply_op, solve, size, shift, k=1, steps=60, tol=1e-9, rn
     if not np.all(rho < np.abs(eigs - shift)):
         raise NoConvergence(len(alphas), np.max(rho), "Lanczos residual check")
     return sorted(eigs)
-
-
-# ---------------------------------------------------------------------------
-# Field container I/O
-# ---------------------------------------------------------------------------
-
-
-def save_field(path, grid, field):
-    """Flat binary container: header (ndim, N, L) + interleaved re/im f64."""
-    arr = np.ascontiguousarray(field, dtype=complex)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<qqd", arr.ndim, grid.npoints, grid.box))
-        inter = np.empty(arr.size * 2)
-        inter[0::2] = arr.real.reshape(-1)
-        inter[1::2] = arr.imag.reshape(-1)
-        inter.astype("<f8").tofile(fh)
-
-
-def load_field(path):
-    with open(path, "rb") as fh:
-        ndim, npoints, box = struct.unpack("<qqd", fh.read(24))
-        data = np.fromfile(fh, dtype="<f8")
-    vals = data[0::2] + 1j * data[1::2]
-    grid = Grid(npoints, box, ndim)
-    return grid, vals.reshape((npoints,) * ndim)

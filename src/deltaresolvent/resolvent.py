@@ -18,18 +18,17 @@ All four agree on their common domain (real z below the guarded
 threshold); the test suite pins the pairwise deviations.
 """
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
-from . import blocks as blocksmod
 from . import forms as formsmod
 from . import grid as gridmod
 from . import system as sysmod
-from .blocks import LambdaMatrix, invert_lambda, pair_class_multiplier
+from .blocks import (ChannelSystem, LambdaMatrix, channel_norm,
+                     invert_lambda, pair_class_multiplier)
 from .bump import DEFAULT_PROFILE, build_hamiltonian
 from .errors import ConfigError, NoConvergence
 
@@ -86,20 +85,12 @@ class FactoredAssembly:
         self.mode = "limit" if eps is None else "kk"
 
     def apply(self, field):
-        lam = self.system
-        u0 = lam.rfree(np.asarray(field, dtype=complex))
-        channels = [cmap.forward(u0) for cmap in lam.maps]
-        sol = invert_lambda(lam, channels, tol=self.tol,
-                            max_terms=self.max_terms, force=self.force)
-        total = lam.maps[0].adjoint(sol[0])
-        for cmap, y in zip(lam.maps[1:], sol[1:]):
-            total = total + cmap.adjoint(y)
-        return u0 + self.spec.g * lam.rfree(total)
+        return self.system.resolve(field, self.tol, self.max_terms, self.force)
 
     __call__ = apply
 
 
-class TraceAssembly:
+class TraceAssembly(ChannelSystem):
     """Reduced-space resolvent through the hyperplane-trace channels.
 
     The channel matrix here is 1 - g (trace_sigma R0 trace_nu*); its
@@ -112,36 +103,14 @@ class TraceAssembly:
     mode = "theta"
 
     def __init__(self, grid, spec, z, tol=1e-10, max_terms=200, force=False):
-        z = float(z)
-        if z >= 0.0:
-            raise ValueError("trace-channel assembly requires real negative z")
-        self.grid = grid
-        self.spec = spec
-        self.z = z
+        super().__init__(grid, spec, z)
         self.eps = None
         self.tol = float(tol)
         self.max_terms = int(max_terms)
         self.force = bool(force)
-        self.pairs = sysmod.enumerate_pairs(spec)
-        self.rfree = gridmod.free_resolvent(grid, spec.masses, z)
-        self.multipliers = [pair_class_multiplier(grid, spec, p, z)
+        self.multipliers = [pair_class_multiplier(grid, spec, p, self.z)
                             for p in self.pairs]
-        self.constants = sysmod.bound_constants(spec)
         self.last_residual = None
-
-    @property
-    def threshold(self):
-        return self.constants.threshold
-
-    def diagonal_contraction(self):
-        return (self.constants.diag_coeff * abs(self.spec.g)
-                / math.sqrt(-self.z))
-
-    def neumann_ratio(self):
-        P = len(self.pairs)
-        off = ((P - 1) * self.constants.offdiag_coeff * abs(self.spec.g)
-               / math.sqrt(-self.z))
-        return off / (1.0 - self.diagonal_contraction())
 
     # -- channel-space pieces -------------------------------------------------
 
@@ -152,50 +121,31 @@ class TraceAssembly:
         v = values.reshape(values.shape + (1,) * (field.ndim - values.ndim))
         return np.fft.ifftn(hat * v, axes=axes)
 
-    def _smoothed_sum(self, fields):
-        total = formsmod.trace_adjoint(self.grid, self.spec, self.pairs[0],
-                                       fields[0])
-        for pair, f in zip(self.pairs[1:], fields[1:]):
-            total = total + formsmod.trace_adjoint(self.grid, self.spec,
-                                                   pair, f)
-        return self.rfree(total)
+    def lift(self, k, field):
+        return formsmod.apply_trace(self.grid, self.spec, self.pairs[k], field)
 
-    def channel_apply(self, fields):
-        """Full channel matrix: fields - g * (traces of R0 sum of adjoints)."""
-        smoothed = self._smoothed_sum(fields)
-        g = self.spec.g
-        return [f - g * formsmod.apply_trace(self.grid, self.spec, p, smoothed)
-                for p, f in zip(self.pairs, fields)]
+    def drop(self, k, chi):
+        return formsmod.trace_adjoint(self.grid, self.spec, self.pairs[k], chi)
+
+    def own(self, k, chi):
+        return self._per_class(chi, self.multipliers[k])
 
     def apply_diag_inverse(self, fields):
         g = self.spec.g
         return [self._per_class(f, 1.0 / (1.0 - g * m))
                 for f, m in zip(fields, self.multipliers)]
 
-    def apply_offdiag(self, fields):
-        smoothed = self._smoothed_sum(fields)
-        g = self.spec.g
-        out = []
-        for pair, mult, f in zip(self.pairs, self.multipliers, fields):
-            cross = formsmod.apply_trace(self.grid, self.spec, pair, smoothed)
-            own = self._per_class(f, mult)
-            out.append(-g * (cross - own))
-        return out
-
-    def solve_channels(self, fields):
-        solution = invert_lambda(self, fields, tol=self.tol,
-                                 max_terms=self.max_terms, force=self.force)
+    def solve_channels(self, fields, tol, max_terms, force):
+        solution = invert_lambda(self, fields, tol=tol, max_terms=max_terms,
+                                 force=force)
         if len(self.pairs) > 1:
             back = self.channel_apply(solution)
-            num = math.sqrt(sum(float(np.sum(np.abs(b - f) ** 2))
-                                for b, f in zip(back, fields)))
-            den = math.sqrt(sum(float(np.sum(np.abs(f) ** 2))
-                                for f in fields))
-            resid = num / den if den > 0.0 else 0.0
+            den = channel_norm(fields)
+            resid = (channel_norm([b - f for b, f in zip(back, fields)]) / den
+                     if den > 0.0 else 0.0)
             self.last_residual = resid
-            if resid > 100.0 * self.tol:
-                raise NoConvergence(self.max_terms, resid,
-                                    "trace channel inversion")
+            if resid > 100.0 * tol:
+                raise NoConvergence(max_terms, resid, "trace channel inversion")
         return solution
 
     def symmetry_defect(self, rng=None, trials=8):
@@ -215,22 +165,12 @@ class TraceAssembly:
             mv = self.channel_apply(v)
             lhs = sum(w * np.vdot(a, b) for a, b in zip(u, mv))
             rhs = sum(w * np.vdot(a, b) for a, b in zip(mu, v))
-            nu = math.sqrt(sum(w * float(np.sum(np.abs(a) ** 2)) for a in u))
-            nv = math.sqrt(sum(w * float(np.sum(np.abs(a) ** 2)) for a in v))
-            worst = max(worst, abs(lhs - rhs) / (nu * nv))
+            worst = max(worst, abs(lhs - rhs)
+                        / (w * channel_norm(u) * channel_norm(v)))
         return worst
 
     def apply(self, field):
-        u0 = self.rfree(np.asarray(field, dtype=complex))
-        channels = [formsmod.apply_trace(self.grid, self.spec, p, u0)
-                    for p in self.pairs]
-        sol = self.solve_channels(channels)
-        total = formsmod.trace_adjoint(self.grid, self.spec, self.pairs[0],
-                                       sol[0])
-        for pair, y in zip(self.pairs[1:], sol[1:]):
-            total = total + formsmod.trace_adjoint(self.grid, self.spec,
-                                                   pair, y)
-        return u0 + self.spec.g * self.rfree(total)
+        return self.resolve(field, self.tol, self.max_terms, self.force)
 
     __call__ = apply
 
@@ -274,27 +214,6 @@ def assemble(grid, spec, z, mode, eps=None, tol=1e-10,
     return TraceAssembly(grid, spec, z, tol=tol, force=force)
 
 
-def apply_kk_resolvent(psi, grid, spec, z, eps, tol=1e-10,
-                       profile=DEFAULT_PROFILE, force_chain=False):
-    """One-shot coupled-channel application of (H_eps - z)^{-1}."""
-    asm = FactoredAssembly(grid, spec, z, eps, profile=profile, tol=tol,
-                           force_chain=force_chain)
-    return asm.apply(psi)
-
-
-def apply_limit_resolvent(psi, grid, spec, z, tol=1e-10,
-                          profile=DEFAULT_PROFILE):
-    """One-shot application of the contact resolvent."""
-    asm = FactoredAssembly(grid, spec, z, None, profile=profile, tol=tol)
-    return asm.apply(psi)
-
-
-def apply_theta_resolvent(psi, grid, spec, z, tol=1e-10):
-    """One-shot application of the reduced-space (trace-channel) resolvent."""
-    asm = TraceAssembly(grid, spec, z, tol=tol)
-    return asm.apply(psi)
-
-
 # ---------------------------------------------------------------------------
 # Width sweep: operator-norm distance between regularized and limit routes
 # ---------------------------------------------------------------------------
@@ -321,9 +240,6 @@ class SweepReport:
     def distances(self, level, z):
         return [e.distance for e in self.entries
                 if e.level == level and e.z == z]
-
-    def widths(self, level, z):
-        return [e.eps for e in self.entries if e.level == level and e.z == z]
 
     def monotone(self, level, z):
         d = self.distances(level, z)

@@ -11,6 +11,7 @@ from deltaresolvent.errors import (AboveThreshold, SameBlockRequested,
                                    SeriesDiverging)
 from deltaresolvent.forms import apply_trace, trace_adjoint
 from deltaresolvent.grid import Grid, free_resolvent
+from deltaresolvent.resolvent import TraceAssembly
 from deltaresolvent.system import SystemSpec, bound_constants, enumerate_pairs
 
 SPEC2 = SystemSpec(masses=(1.0, 1.0), g=1.0)
@@ -18,8 +19,12 @@ PAIR2 = enumerate_pairs(SPEC2)[0]
 
 
 def random_channels(lam, rng):
-    return [rng.standard_normal(lam.grid.shape)
-            + 1j * rng.standard_normal(lam.grid.shape)
+    # trace channels live on the reduced lattice, coupling-map channels
+    # on the full one (relative coordinate first)
+    shape = lam.grid.shape
+    if isinstance(lam, TraceAssembly):
+        shape = shape[1:]
+    return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             for _ in lam.pairs]
 
 
@@ -181,22 +186,23 @@ def test_offdiagonal_norm_scales_like_inverse_sqrt_z():
 def test_lambda_apply_splits_into_diag_and_offdiag():
     spec = SystemSpec(masses=(1.0, 0.5, 2.0), g=0.7)
     grid = Grid(16, 3.2, 3)
-    lam = LambdaMatrix(grid, spec, -30.0, eps=None)
-    rng = np.random.default_rng(4)
-    fields = random_channels(lam, rng)
-    full = lam.apply(fields)
-    diag = lam.apply_diag(fields)
-    off = lam.apply_offdiag(fields)
-    # the identity term rides inside the diagonal part
-    for a, b, c in zip(full, diag, off):
-        assert np.allclose(a, b + c, atol=1e-12)
+    for lam in (LambdaMatrix(grid, spec, -30.0, eps=None),
+                TraceAssembly(grid, spec, -30.0)):
+        rng = np.random.default_rng(4)
+        fields = random_channels(lam, rng)
+        full = lam.channel_apply(fields)
+        diag = lam.apply_diag(fields)
+        off = lam.apply_offdiag(fields)
+        # the identity term rides inside the diagonal part
+        for a, b, c in zip(full, diag, off):
+            assert np.allclose(a, b + c, atol=1e-12)
 
 
 def test_lambda_diag_inverse_roundtrip_limit_and_width():
-    for eps in (None, 0.4):
-        spec = SystemSpec(masses=(1.0, 1.5), g=1.0)
-        grid = Grid(32, 6.4, 2)
-        lam = LambdaMatrix(grid, spec, -9.0, eps=eps)
+    spec = SystemSpec(masses=(1.0, 1.5), g=1.0)
+    grid = Grid(32, 6.4, 2)
+    systems = [LambdaMatrix(grid, spec, -9.0, eps=eps) for eps in (None, 0.4)]
+    for lam in systems + [TraceAssembly(grid, spec, -9.0)]:
         rng = np.random.default_rng(5)
         fields = random_channels(lam, rng)
         back = lam.apply_diag(lam.apply_diag_inverse(fields))
@@ -217,7 +223,7 @@ def test_invert_lambda_residuals():
         rng = np.random.default_rng(6)
         fields = random_channels(lam, rng)
         solved = invert_lambda(lam, fields)
-        back = lam.apply(solved)
+        back = lam.channel_apply(solved)
         num = math.sqrt(sum(float(np.linalg.norm(a - b) ** 2)
                             for a, b in zip(back, fields)))
         den = math.sqrt(sum(float(np.linalg.norm(f) ** 2) for f in fields))
@@ -232,7 +238,7 @@ def test_invert_lambda_threshold_gate():
         invert_lambda(lam, fields)
     # force skips the gate; with a single pair there is no outer series
     solved = invert_lambda(lam, fields, force=True)
-    back = lam.apply(solved)
+    back = lam.channel_apply(solved)
     assert np.linalg.norm(back[0] - fields[0]) / np.linalg.norm(fields[0]) < 1e-11
 
 
@@ -257,3 +263,6 @@ def test_lambda_threshold_and_ratio_bookkeeping():
     assert 0.0 < lam.neumann_ratio() < 1.0
     deeper = LambdaMatrix(Grid(16, 3.2, 3), spec, -80.0)
     assert deeper.neumann_ratio() < lam.neumann_ratio()
+    theta = TraceAssembly(Grid(16, 3.2, 3), spec, -20.0)
+    assert theta.threshold == lam.threshold
+    assert theta.neumann_ratio() == lam.neumann_ratio()

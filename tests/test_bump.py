@@ -3,13 +3,13 @@ import pytest
 
 from deltaresolvent.bump import (BumpProfile, ChainCouplingMap, DEFAULT_PROFILE,
                                  LimitCouplingMap, ShearCouplingMap,
-                                 build_hamiltonian, coupling_map, dilate,
-                                 dilate_adjoint, grid_samples,
+                                 build_hamiltonian, coupling_map,
                                  renormalized_samples, resolution_ok,
                                  sampled_pair_potential)
-from deltaresolvent.errors import (PotentialOverflowsBox, SupportEscapesBox,
-                                   UnresolvedBump)
-from deltaresolvent.grid import Grid, random_band_limited
+from deltaresolvent.errors import PotentialOverflowsBox, UnresolvedBump
+from deltaresolvent.grid import (Grid, dilation_eval, dilation_eval_adjoint,
+                                 random_band_limited)
+from deltaresolvent.resolvent import FactoredAssembly
 from deltaresolvent.system import SystemSpec, enumerate_pairs
 
 # quadrature values for the default profile, frozen ahead of time
@@ -61,7 +61,7 @@ def test_renormalized_samples_close_grid_quadrature():
     grid = Grid(64, 4.0)
     v = renormalized_samples(grid)
     assert grid.h * np.sum(v ** 2) == pytest.approx(1.0, rel=1e-14)
-    raw = grid_samples(grid)
+    raw = DEFAULT_PROFILE.value(grid.x)
     assert np.max(np.abs(v - raw)) < 1e-3 * np.max(raw)
 
 
@@ -72,7 +72,7 @@ def test_dilation_is_isometric_on_localized_fields():
     s = grid.x[None, :]
     f = np.exp(-r ** 2 - 0.5 * s ** 2) + 0.0j
     eps = 0.5
-    df = dilate(grid, f, eps)
+    df = np.sqrt(eps) * dilation_eval(grid, f, eps)
     assert grid.norm(df) == pytest.approx(grid.norm(f), rel=1e-6)
 
 
@@ -82,11 +82,9 @@ def test_dilation_adjoint_is_exact():
     f = random_band_limited(grid, rng)
     g = random_band_limited(grid, rng)
     eps = 0.5
-    lhs = np.vdot(dilate(grid, f, eps), g)
-    rhs = np.vdot(f, dilate_adjoint(grid, g, eps))
+    lhs = np.vdot(np.sqrt(eps) * dilation_eval(grid, f, eps), g)
+    rhs = np.vdot(f, np.sqrt(eps) * dilation_eval_adjoint(grid, g, eps))
     assert lhs == pytest.approx(rhs, rel=1e-12)
-    with pytest.raises(SupportEscapesBox):
-        dilate(grid, f, 1.5)
 
 
 def test_sampled_potential_overflow_guard():
@@ -96,6 +94,21 @@ def test_sampled_potential_overflow_guard():
     v2 = sampled_pair_potential(grid, 1.0)
     assert v2.shape == (16, 16)
     assert np.max(v2) == pytest.approx(POTENTIAL_AT_ZERO)
+
+
+def test_coupling_maps_reject_overflowing_width():
+    """Both positive-width map kinds refuse a bump wider than half the box."""
+    grid = Grid(16, 3.2, 2)
+    spec = SystemSpec(masses=(1.0, 1.0), g=1.0)
+    pair = enumerate_pairs(spec)[0]
+    for force_chain in (False, True):  # shear (resolved), then chain
+        with pytest.raises(PotentialOverflowsBox):
+            coupling_map(grid, spec, pair, 2.0, force_chain=force_chain)
+        with pytest.raises(PotentialOverflowsBox):
+            FactoredAssembly(grid, spec, -20.0, 2.0, force_chain=force_chain)
+    assert isinstance(coupling_map(grid, spec, pair, 1.5), ShearCouplingMap)
+    assert isinstance(coupling_map(grid, spec, pair, 1.5, force_chain=True),
+                      ChainCouplingMap)
 
 
 def test_resolution_gate():

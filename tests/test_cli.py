@@ -220,6 +220,17 @@ def test_threshold_gate_names_both_numbers(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_width_overflowing_the_box_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "\n".join([
+        "[grid]", "npoints = 16", "box = 3.2",
+        "[converge]", "eps = 2.0", "",
+    ]))
+    out = tmp_path / "reports"
+    assert run("converge", "--config", cfg, "--out", str(out)) == 2
+    assert "exceeds half box" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_width_list_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "[converge]\neps =\n")
     assert run("converge", "--config", cfg,

@@ -8,8 +8,7 @@ from deltaresolvent.grid import (Grid, apply_free_hamiltonian, free_resolvent,
                                  lowest_eigenvalues, minimum_image_separation,
                                  operator_norm, pair_frame_adjoint,
                                  pair_frame_forward, random_band_limited,
-                                 save_field, load_field, shifted_solver,
-                                 to_momentum)
+                                 shifted_solver, to_momentum)
 from deltaresolvent.system import SystemSpec, enumerate_pairs, frame_weights
 from deltaresolvent.bump import build_hamiltonian
 from deltaresolvent.resolvent import DirectAssembly
@@ -258,16 +257,3 @@ def test_lowest_eigenvalues_raises_instead_of_returning_unconverged():
     with pytest.raises(NoConvergence):
         lowest_eigenvalues(lambda v: 3.0 * diag * v, solve, 40, shift, steps=60,
                            rng=np.random.default_rng(12))
-
-
-def test_save_and_load_roundtrip(tmp_path):
-    grid = Grid(16, 3.2, 2)
-    rng = np.random.default_rng(10)
-    f = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    path = tmp_path / "field.npz"
-    save_field(path, grid, f)
-    grid2, f2 = load_field(path)
-    assert grid2.npoints == grid.npoints
-    assert grid2.box == pytest.approx(grid.box)
-    assert grid2.ndim == grid.ndim
-    assert np.array_equal(f2, f)

@@ -6,9 +6,7 @@ from deltaresolvent.errors import AboveThreshold, ConfigError, NoConvergence
 from deltaresolvent.grid import (Grid, HamiltonianEps, operator_norm,
                                  random_band_limited)
 from deltaresolvent.resolvent import (DirectAssembly, FactoredAssembly,
-                                      TraceAssembly, apply_kk_resolvent,
-                                      apply_limit_resolvent,
-                                      apply_theta_resolvent, assemble,
+                                      TraceAssembly, assemble,
                                       convergence_sweep, ground_energy,
                                       pole_scan)
 from deltaresolvent.system import SystemSpec
@@ -191,21 +189,6 @@ def test_limit_resolvent_norm_below_continuum_bound():
                                 rng=np.random.default_rng(11), iters=40,
                                 restarts=2)
         assert norm <= 1.0 / (-0.25 - z)
-
-
-def test_wrappers_match_assemblies():
-    rng = np.random.default_rng(12)
-    psi = next(probes(GRID_WIDE, rng, 1))
-    a = apply_limit_resolvent(psi, GRID_WIDE, SPEC2, -16.0)
-    b = FactoredAssembly(GRID_WIDE, SPEC2, -16.0).apply(psi)
-    assert np.array_equal(a, b)
-    c = apply_theta_resolvent(psi, GRID_WIDE, SPEC2, -16.0)
-    d = TraceAssembly(GRID_WIDE, SPEC2, -16.0).apply(psi)
-    assert np.allclose(c, d, atol=1e-13)
-    psi_s = next(probes(GRID_SMALL, rng, 1))
-    e = apply_kk_resolvent(psi_s, GRID_SMALL, SPEC2, -16.0, 0.25)
-    f = FactoredAssembly(GRID_SMALL, SPEC2, -16.0, 0.25).apply(psi_s)
-    assert np.array_equal(e, f)
 
 
 def test_threshold_gate_and_force():
