@@ -21,10 +21,10 @@ with R0 the free resolvent.  This module provides
   * ChannelSystem: what every channel route shares -- threshold and
     Neumann bookkeeping, the channel applications and the resolvent
     formula -- around subclass hooks for the channel map itself;
-  * LambdaMatrix / invert_lambda: the coupling-map channel system, exact
-    per-momentum-slice materialization of its diagonal blocks, and the
-    guarded inversion with a tail-bounded outer iteration for the
-    off-diagonal part.
+  * LambdaMatrix / invert_lambda: the coupling-map channel system, its
+    diagonal blocks factored once per momentum slice, and the guarded
+    inversion with a tail-bounded outer iteration for the off-diagonal
+    part.
 
 Reduced coordinate order is fixed everywhere as (pair center of mass,
 then spectators by ascending particle label); it is what the frame
@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from . import grid as gridmod
 from . import system as sysmod
@@ -381,15 +382,16 @@ class OffDiagonalBlock:
 # ---------------------------------------------------------------------------
 
 
-def materialize_diagonal_slices(grid, spec, coupling, rfree, g):
-    """Exact per-momentum-slice matrices of one diagonal block.
+def materialize_diagonal_slices(grid, spec, coupling, rfree):
+    """Exact per-momentum-slice matrices of one diagonal block T R0 T*.
 
     The block commutes with every reduced-lattice translation, so in the
     mixed representation (relative position) x (reduced momentum) it is
-    block diagonal with one small matrix per momentum multi-index, and
-    nonzero only on the coupling support rows.  Feeding basis vectors
-    concentrated at a single support point (and at the reduced origin)
-    through the block recovers every slice in one pass of the FFT.
+    block diagonal with one small Hermitian matrix per momentum
+    multi-index, and nonzero only on the coupling support rows.  Feeding
+    basis vectors concentrated at a single support point (and at the
+    reduced origin) through the block recovers every slice in one pass of
+    the FFT.
 
     Returns (support indices, matrices of shape reduced-lattice + (m, m)).
     """
@@ -402,8 +404,8 @@ def materialize_diagonal_slices(grid, spec, coupling, rfree, g):
     for col, row_index in enumerate(sup):
         basis = np.zeros((N,) * n, dtype=complex)
         basis[(row_index,) + (0,) * (n - 1)] = 1.0
-        image = g * coupling.forward(rfree(coupling.adjoint(basis)))
-        image_hat = np.fft.fftn(image, axes=reduced_axes)
+        image = coupling.forward(rfree(coupling.adjoint(basis)))
+        image_hat = scipy.fft.fftn(image, axes=reduced_axes)
         mats[..., :, col] = np.moveaxis(image_hat[sup], 0, -1)
     return sup, mats
 
@@ -503,12 +505,14 @@ class LambdaMatrix(ChannelSystem):
     """The coupled channel system 1 - g A R0 A* at one spectral parameter.
 
     Holds one coupling map per pair (limit maps for eps=None, sheared or
-    narrow-width maps otherwise) and applies the blocks through lab
-    space, so a full application costs one free-resolvent solve
-    regardless of the number of pairs.  Diagonal blocks can be inverted
-    exactly: in closed form for the limit maps (rank-one in the relative
-    coordinate) and by per-momentum-slice solves on the coupling support
-    otherwise.
+    narrow-width maps otherwise) and applies the cross-pair coupling
+    through lab space, so a full application costs one free-resolvent
+    solve regardless of the number of pairs.  Each same-pair block is
+    factored once, at first use, as U diag(lam) U* per reduced-momentum
+    slice on the coupling support: in closed form for the limit maps
+    (rank one, the unit window column times the class multiplier) and by
+    one batched eigendecomposition of the materialized slices otherwise.
+    The block and its inverse are then slice-wise multiplications.
     """
 
     def __init__(self, grid, spec, z, eps=None, profile=DEFAULT_PROFILE,
@@ -518,8 +522,7 @@ class LambdaMatrix(ChannelSystem):
         self.profile = profile
         self.maps = [coupling_map(grid, spec, p, eps, profile, force_chain)
                      for p in self.pairs]
-        self._limit_cache = None
-        self._slice_cache = None
+        self._diag_cache = None
 
     def lift(self, k, field):
         return self.maps[k].forward(field)
@@ -528,57 +531,51 @@ class LambdaMatrix(ChannelSystem):
         return self.maps[k].adjoint(chi)
 
     def own(self, k, chi):
-        cmap = self.maps[k]
-        return cmap.forward(self.rfree(cmap.adjoint(chi)))
+        return self._diag_apply(k, chi, lambda lam: lam, keep=False)
 
-    # -- diagonal inversion ---------------------------------------------------
+    # -- the factored diagonal ------------------------------------------------
 
-    def _limit_data(self):
-        if self._limit_cache is None:
+    def _diagonal(self):
+        """Per pair (support, U, lam) with T_k R0 T_k* = U diag(lam) U* per slice."""
+        if self._diag_cache is None:
             data = []
+            lead = (1,) * (self.spec.n - 1)
             for pair, cmap in zip(self.pairs, self.maps):
-                mult = pair_class_multiplier(self.grid, self.spec, pair, self.z)
-                data.append((cmap.window, mult))
-            self._limit_cache = data
-        return self._limit_cache
+                if self.eps is None:
+                    sup = cmap.support_indices()
+                    unit = math.sqrt(self.grid.h) * cmap.window[sup]
+                    mult = pair_class_multiplier(self.grid, self.spec, pair, self.z)
+                    data.append((sup, unit.reshape(lead + (-1, 1)), mult[..., None]))
+                else:
+                    sup, mats = materialize_diagonal_slices(
+                        self.grid, self.spec, cmap, self.rfree)
+                    lam, vecs = np.linalg.eigh(mats)
+                    data.append((sup, vecs, lam))
+            self._diag_cache = data
+        return self._diag_cache
 
-    def _slice_data(self):
-        if self._slice_cache is None:
-            data = []
-            for cmap in self.maps:
-                sup, mats = materialize_diagonal_slices(
-                    self.grid, self.spec, cmap, self.rfree, self.spec.g)
-                eye = np.eye(sup.size)
-                data.append((sup, eye - mats))
-            self._slice_cache = data
-        return self._slice_cache
+    def _diag_apply(self, k, chi, gain, keep):
+        """(chi if keep else 0) + U gain(lam) U* chi, slice by slice."""
+        sup, vecs, lam = self._diagonal()[k]
+        n = self.spec.n
+        axes = tuple(range(1, n))
+        hat = scipy.fft.fftn(chi, axes=axes)
+        batch = (1,) * (hat.ndim - n)
+        vecs = vecs.reshape(vecs.shape[:n - 1] + batch + vecs.shape[-2:])
+        lam = lam.reshape(lam.shape[:-1] + batch + lam.shape[-1:])
+        rows = np.moveaxis(hat[sup], 0, -1)[..., None, :]
+        coeff = (rows @ vecs.conj())[..., 0, :]
+        image = (vecs @ (gain(lam) * coeff)[..., None])[..., 0]
+        out = hat if keep else np.zeros_like(hat)
+        out[sup] += np.moveaxis(image, -1, 0)
+        return scipy.fft.ifftn(out, axes=axes)
 
     def apply_diag_inverse(self, fields):
         """Exact inverse of the same-pair blocks, channel by channel."""
-        n = self.spec.n
-        reduced_axes = tuple(range(1, n))
         g = self.spec.g
-        out = []
-        if self.eps is None:
-            for (window, mult), field in zip(self._limit_data(), fields):
-                hat = np.fft.fftn(field, axes=reduced_axes)
-                batch = hat.ndim - n
-                w = window.reshape((-1,) + (1,) * (hat.ndim - 1))
-                coeff = self.grid.h * np.sum(w * hat, axis=0)
-                gain = (g * mult / (1.0 - g * mult)).reshape(
-                    mult.shape + (1,) * batch)
-                hat = hat + w * (gain * coeff)[None]
-                out.append(np.fft.ifftn(hat, axes=reduced_axes))
-            return out
-        for (sup, mats), field in zip(self._slice_data(), fields):
-            hat = np.fft.fftn(field, axes=reduced_axes)
-            batch = hat.ndim - n
-            rows = np.moveaxis(hat[sup], 0, -1)[..., None]
-            mats_b = mats.reshape(mats.shape[:n - 1] + (1,) * batch + (sup.size,) * 2)
-            solved = np.linalg.solve(mats_b, rows)[..., 0]
-            hat[sup] = np.moveaxis(solved, -1, 0)
-            out.append(np.fft.ifftn(hat, axes=reduced_axes))
-        return out
+        return [self._diag_apply(k, f, lambda lam: g * lam / (1.0 - g * lam),
+                                 keep=True)
+                for k, f in enumerate(fields)]
 
 
 def invert_lambda(lam, fields, tol=1e-10, max_terms=200, force=False):

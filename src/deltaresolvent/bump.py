@@ -136,6 +136,7 @@ class ChainCouplingMap:
     """A_eps for one pair via frame change + squeeze + profile window."""
 
     def __init__(self, grid, spec, pair, eps, profile=DEFAULT_PROFILE):
+        check_fits_box(grid, eps, profile)
         self.grid = grid
         self.spec = spec
         self.pair = pair
@@ -165,6 +166,7 @@ class ShearCouplingMap:
     """A_eps for one pair via the exact index shear; needs a resolved bump."""
 
     def __init__(self, grid, spec, pair, eps, profile=DEFAULT_PROFILE):
+        check_fits_box(grid, eps, profile)
         if not resolution_ok(grid, eps, profile):
             raise UnresolvedBump(
                 "shear factorization needs the scaled bump resolved by the grid"
@@ -205,31 +207,34 @@ class ShearCouplingMap:
 
 
 class LimitCouplingMap:
-    """The eps -> 0 coupling: profile window tensor hyperplane restriction."""
+    """The eps -> 0 coupling: profile window tensor hyperplane restriction.
+
+    The hyperplane r = 0 holds the grid points where both pair members sit
+    at the same lattice site, so the restriction is the diagonal gather
+    f[k, k, ...] and its adjoint the diagonal scatter.
+    """
 
     def __init__(self, grid, spec, pair, profile=DEFAULT_PROFILE):
         self.grid = grid
         self.spec = spec
         self.pair = pair
-        self.alpha, self.beta = sysmod.frame_weights(spec, pair)
         self.window = renormalized_samples(grid, profile)
-        self._row = grid.npoints // 2  # index of r = 0
 
     def forward(self, lab_field):
         f = gridmod.lab_axes_to_front(lab_field, self.spec, self.pair)
-        f = gridmod.pair_frame_forward(self.grid, f, self.alpha, self.beta)
-        slice_ = f[self._row]
-        w = self.window.reshape((-1,) + (1,) * slice_.ndim)
-        return w * slice_[None]
+        idx = np.arange(self.grid.npoints)
+        diag = f[idx, idx]
+        w = self.window.reshape((-1,) + (1,) * diag.ndim)
+        return w * diag[None]
 
     def adjoint(self, chi_field):
         w = self.window.reshape((-1,) + (1,) * (chi_field.ndim - 1))
         reduced = np.sum(w * chi_field, axis=0)
         N = self.grid.npoints
         embedded = np.zeros((N,) + reduced.shape, dtype=complex)
-        embedded[self._row] = reduced
-        f = gridmod.pair_frame_adjoint(self.grid, embedded, self.alpha, self.beta)
-        return gridmod.lab_axes_from_front(f, self.spec, self.pair)
+        idx = np.arange(N)
+        embedded[idx, idx] = reduced
+        return gridmod.lab_axes_from_front(embedded, self.spec, self.pair)
 
     def support_indices(self):
         """First-axis indices the coupled fields can live on."""
@@ -240,13 +245,13 @@ def coupling_map(grid, spec, pair, eps=None, profile=DEFAULT_PROFILE, force_chai
     """Pick the coupling factorization for one pair.
 
     eps=None yields the limit map.  Positive eps must fit the bump in
-    half the box (PotentialOverflowsBox otherwise) and dispatches on the
-    resolution rule: the exact shear when the grid resolves the scaled
-    bump, the narrow-width chain otherwise (or always with force_chain).
+    half the box (both width maps raise PotentialOverflowsBox otherwise)
+    and dispatches on the resolution rule: the exact shear when the grid
+    resolves the scaled bump, the narrow-width chain otherwise (or always
+    with force_chain).
     """
     if eps is None:
         return LimitCouplingMap(grid, spec, pair, profile)
-    check_fits_box(grid, eps, profile)
     if not force_chain and resolution_ok(grid, eps, profile):
         return ShearCouplingMap(grid, spec, pair, eps, profile)
     return ChainCouplingMap(grid, spec, pair, eps, profile)

@@ -71,6 +71,7 @@ import sys
 import time
 
 import numpy as np
+import scipy.fft
 
 from . import __version__
 from . import audits as auditsmod
@@ -205,7 +206,8 @@ def _metadata(args, command, wallclock_ms):
         "command": command,
         "version": __version__,
         "seed": args.seed,
-        "threads": args.threads,
+        "threads": scipy.fft.get_workers(),
+        "blas_threads": args.blas_threads,
         "force": bool(args.force),
         "supported": not bool(args.force),
         "profile": {
@@ -588,16 +590,25 @@ _HANDLERS = {
 
 
 def _thread_cap(args):
-    """Context capping BLAS threads; leaves in ``args.threads`` the cap in force."""
+    """Context capping FFT workers and BLAS threads at ``args.threads``.
+
+    FFT workers are set through scipy.fft; the BLAS cap needs threadpoolctl.
+    Leaves in ``args.blas_threads`` the BLAS cap in force (None if none).
+    """
+    stack = contextlib.ExitStack()
+    args.blas_threads = None
+    if args.threads is None:
+        return stack
+    stack.enter_context(scipy.fft.set_workers(args.threads))
     try:
         import threadpoolctl
     except ImportError:
-        if args.threads is not None:
-            print("warning: --threads %d not applied: threadpoolctl is not "
-                  "installed" % args.threads, file=sys.stderr)
-            args.threads = None
-        return contextlib.nullcontext()
-    return threadpoolctl.threadpool_limits(limits=args.threads)
+        print("warning: --threads %d not applied to BLAS: threadpoolctl is "
+              "not installed" % args.threads, file=sys.stderr)
+        return stack
+    stack.enter_context(threadpoolctl.threadpool_limits(limits=args.threads))
+    args.blas_threads = args.threads
+    return stack
 
 
 def build_parser():
@@ -614,7 +625,8 @@ def build_parser():
     common.add_argument("--seed", type=int, default=0, metavar="U64",
                         help="master RNG seed (default 0)")
     common.add_argument("--threads", type=int, default=None, metavar="N",
-                        help="cap BLAS worker threads (needs threadpoolctl)")
+                        help="FFT worker threads; also caps BLAS threads "
+                             "when threadpoolctl is installed")
     common.add_argument("--force", action="store_true",
                         help="unlock z at or above the inversion threshold "
                              "(unsupported; labeled in output metadata)")

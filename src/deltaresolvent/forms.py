@@ -13,6 +13,7 @@ whose resolvent the assemblies compute.
 """
 
 import numpy as np
+import scipy.fft
 
 from . import grid as gridmod
 from . import system as sysmod
@@ -23,12 +24,13 @@ def apply_trace(grid, spec, pair, field):
 
     The result is the reduced field over (pair center of mass,
     spectators by ascending label) in position representation.  Trailing
-    axes beyond the lab configuration ride along as a batch.
+    axes beyond the lab configuration ride along as a batch.  Both
+    members sit at the center of mass on the hyperplane, a grid point,
+    so the restriction is the diagonal f[k, k, ...] of the pair axes.
     """
-    alpha, beta = sysmod.frame_weights(spec, pair)
     f = gridmod.lab_axes_to_front(field, spec, pair)
-    f = gridmod.pair_frame_forward(grid, f, alpha, beta)
-    return f[grid.npoints // 2]
+    idx = np.arange(grid.npoints)
+    return f[idx, idx]
 
 
 def trace_adjoint(grid, spec, pair, reduced):
@@ -36,15 +38,14 @@ def trace_adjoint(grid, spec, pair, reduced):
 
     Maps a reduced field back to a (distributional) lab field so that
     <trace_adjoint u, psi>_lab = <u, apply_trace psi>_reduced exactly on
-    the grid.
+    the grid: the diagonal scatter divided by the grid spacing.
     """
     reduced = np.asarray(reduced, dtype=complex)
     N = grid.npoints
     embedded = np.zeros((N,) + reduced.shape, dtype=complex)
-    embedded[N // 2] = reduced / grid.h
-    alpha, beta = sysmod.frame_weights(spec, pair)
-    f = gridmod.pair_frame_adjoint(grid, embedded, alpha, beta)
-    return gridmod.lab_axes_from_front(f, spec, pair)
+    idx = np.arange(N)
+    embedded[idx, idx] = reduced / grid.h
+    return gridmod.lab_axes_from_front(embedded, spec, pair)
 
 
 def momentum_trace(grid, field):
@@ -98,11 +99,11 @@ def fourier_trace_identities(grid, field):
 
 def gradient_norm_squared(grid, field, axis):
     """Squared L2 norm of the spectral derivative along one axis."""
-    hat = np.fft.fft(field, axis=axis)
+    hat = scipy.fft.fft(field, axis=axis)
     shape = [1] * field.ndim
     shape[axis] = grid.npoints
     hat = hat * (1j * grid.p.reshape(shape))
-    grad = np.fft.ifft(hat, axis=axis)
+    grad = scipy.fft.ifft(hat, axis=axis)
     weight = grid.h ** field.ndim
     return weight * float(np.sum(np.abs(grad) ** 2))
 
@@ -132,8 +133,8 @@ def evaluate_form(grid, spec, phi, psi):
         shape = [1] * n
         shape[axis] = grid.npoints
         mult = 1j * grid.p.reshape(shape)
-        dphi = np.fft.ifft(np.fft.fft(phi, axis=axis) * mult, axis=axis)
-        dpsi = np.fft.ifft(np.fft.fft(psi, axis=axis) * mult, axis=axis)
+        dphi = scipy.fft.ifft(scipy.fft.fft(phi, axis=axis) * mult, axis=axis)
+        dpsi = scipy.fft.ifft(scipy.fft.fft(psi, axis=axis) * mult, axis=axis)
         total += complex(np.vdot(dphi, dpsi)) * weight / (2.0 * m)
     reduced_weight = grid.h ** (n - 1)
     for pair in sysmod.enumerate_pairs(spec):

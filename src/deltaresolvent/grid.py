@@ -8,6 +8,7 @@ can be pushed through in one call.
 """
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 import scipy.sparse.linalg
 
@@ -40,7 +41,7 @@ class Grid:
         self.ndim = int(ndim)
         self.h = self.box / npoints
         self.x = -self.box / 2 + self.h * np.arange(npoints)
-        self.p = 2 * np.pi * np.fft.fftfreq(npoints, d=self.h)
+        self.p = 2 * np.pi * scipy.fft.fftfreq(npoints, d=self.h)
 
     @property
     def shape(self):
@@ -86,7 +87,7 @@ def apply_free_hamiltonian(grid, masses, field):
     mult = kinetic_multiplier(grid, masses)
     axes = tuple(range(n))
     ext = mult.reshape(mult.shape + (1,) * (field.ndim - n))
-    return np.fft.ifftn(np.fft.fftn(field, axes=axes) * ext, axes=axes)
+    return scipy.fft.ifftn(scipy.fft.fftn(field, axes=axes) * ext, axes=axes)
 
 
 def free_resolvent(grid, masses, z):
@@ -97,7 +98,7 @@ def free_resolvent(grid, masses, z):
 
     def apply(field):
         ext = mult.reshape(mult.shape + (1,) * (field.ndim - n))
-        return np.fft.ifftn(np.fft.fftn(field, axes=axes) * ext, axes=axes)
+        return scipy.fft.ifftn(scipy.fft.fftn(field, axes=axes) * ext, axes=axes)
 
     return apply
 
@@ -122,7 +123,7 @@ def _alternating(npoints):
 def to_momentum(grid, field, axes=None):
     if axes is None:
         axes = tuple(range(grid.ndim))
-    out = np.fft.fftn(field, axes=axes)
+    out = scipy.fft.fftn(field, axes=axes)
     sign = _alternating(grid.npoints)
     scale = grid.h / np.sqrt(2 * np.pi)
     for ax in axes:
@@ -144,7 +145,7 @@ def from_momentum(grid, field, axes=None):
         shape[ax] = grid.npoints
         out = out * sign.reshape(shape)
         out = out * scale
-    return np.fft.ifftn(out, axes=axes)
+    return scipy.fft.ifftn(out, axes=axes)
 
 
 def random_band_limited(grid, rng, ndim=None, cutoff=1.0 / 3.0, batch=()):
@@ -160,7 +161,7 @@ def random_band_limited(grid, rng, ndim=None, cutoff=1.0 / 3.0, batch=()):
         sh[ax] = grid.npoints
         window = np.exp(-((np.abs(grid.p) / (cutoff * pmax)) ** 8))
         damp = damp * window.reshape(sh)
-    field = np.fft.ifftn(coef * damp, axes=tuple(range(ndim)))
+    field = scipy.fft.ifftn(coef * damp, axes=tuple(range(ndim)))
     flat = field.reshape((-1,) + tuple(batch))
     nrm = np.sqrt(np.sum(np.abs(flat) ** 2, axis=0)) * np.sqrt(grid.h ** ndim)
     return field / nrm
@@ -181,7 +182,7 @@ def pair_frame_forward(grid, field, alpha, beta):
     """
     N = grid.npoints
     rest = field.shape[2:]
-    ph = np.fft.fft2(field.reshape(N, N, -1), axes=(0, 1)) / N ** 2
+    ph = scipy.fft.fft2(field.reshape(N, N, -1), axes=(0, 1)) / N ** 2
     K = np.arange(N)
     idx = (K[:, None] - K[None, :]) % N                      # [K, k1] -> k2
     phg = ph[np.arange(N)[None, :], idx]                     # [K, k1, rest]
@@ -195,7 +196,7 @@ def pair_frame_forward(grid, field, alpha, beta):
         # phase matrix per momentum class: [Kc, a, k1]
         mixer = V[None, :, :] * W[:, idx[lo:hi]].transpose(1, 0, 2)
         out[:, lo:hi] = np.matmul(mixer, phg[lo:hi]).transpose(1, 0, 2)
-    out = N * np.fft.ifft(out, axis=1)
+    out = N * scipy.fft.ifft(out, axis=1)
     return out.reshape((N, N) + rest)
 
 
@@ -203,7 +204,7 @@ def pair_frame_adjoint(grid, field, alpha, beta):
     """Exact discrete adjoint of :func:`pair_frame_forward`."""
     N = grid.npoints
     rest = field.shape[2:]
-    ct = np.fft.fft(field.reshape(N, N, -1), axis=1)         # adjoint of N*ifft
+    ct = scipy.fft.fft(field.reshape(N, N, -1), axis=1)         # adjoint of N*ifft
     K = np.arange(N)
     idx = (K[:, None] - K[None, :]) % N                      # [K, k1] -> k2
     V = np.exp(1j * alpha * np.outer(grid.x, grid.p))
@@ -220,7 +221,7 @@ def pair_frame_adjoint(grid, field, alpha, beta):
     # undo the class gather: [k1, k2, rest] from class (k1 + k2) mod N
     sumidx = (K[:, None] + K[None, :]) % N
     pht = mixed[sumidx, K[:, None], :]
-    out = np.fft.ifft2(pht, axes=(0, 1))
+    out = scipy.fft.ifft2(pht, axes=(0, 1))
     return out.reshape((N, N) + rest)
 
 
@@ -232,14 +233,14 @@ def _dilation_phases(grid, eps):
 
 def dilation_eval(grid, field, eps):
     """Evaluate a field at the squeezed points eps*r along axis 0 (no amplitude factor)."""
-    ph = np.fft.fft(field, axis=0) / grid.npoints
+    ph = scipy.fft.fft(field, axis=0) / grid.npoints
     T = _dilation_phases(grid, eps)
     return np.tensordot(T, ph, axes=(1, 0))
 
 
 def dilation_eval_adjoint(grid, field, eps):
     T = _dilation_phases(grid, eps)
-    return np.fft.ifft(np.tensordot(T.conj().T, field, axes=(1, 0)), axis=0)
+    return scipy.fft.ifft(np.tensordot(T.conj().T, field, axes=(1, 0)), axis=0)
 
 
 def lab_axes_to_front(field, spec, pair):
@@ -282,7 +283,7 @@ class HamiltonianEps:
     def apply(self, field):
         axes = tuple(range(self.spec.n))
         kin = self._kin.reshape(self._kin.shape + (1,) * (field.ndim - self.spec.n))
-        out = np.fft.ifftn(np.fft.fftn(field, axes=axes) * kin, axes=axes)
+        out = scipy.fft.ifftn(scipy.fft.fftn(field, axes=axes) * kin, axes=axes)
         pot = self.potential.reshape(
             self.potential.shape + (1,) * (field.ndim - self.spec.n)
         )
@@ -300,7 +301,7 @@ class HamiltonianEps:
             )
         kin = np.zeros((1, 1))  # the Kronecker sum's neutral element
         for m in self.spec.masses:
-            col = np.fft.ifft(self.grid.p ** 2 / (2.0 * m)).real
+            col = scipy.fft.ifft(self.grid.p ** 2 / (2.0 * m)).real
             col = 0.5 * (col + np.roll(col[::-1], 1))
             kin = scipy.sparse.kronsum(scipy.linalg.circulant(col), kin)
         pot = scipy.sparse.diags(self.spec.g * self.potential.reshape(-1))

@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.optimize
 
 from . import forms as formsmod
@@ -117,9 +118,9 @@ class TraceAssembly(ChannelSystem):
     def _per_class(self, field, values):
         """Apply a reduced-momentum multiplier; trailing axes are batch."""
         axes = tuple(range(self.spec.n - 1))
-        hat = np.fft.fftn(field, axes=axes)
+        hat = scipy.fft.fftn(field, axes=axes)
         v = values.reshape(values.shape + (1,) * (field.ndim - values.ndim))
-        return np.fft.ifftn(hat * v, axes=axes)
+        return scipy.fft.ifftn(hat * v, axes=axes)
 
     def lift(self, k, field):
         return formsmod.apply_trace(self.grid, self.spec, self.pairs[k], field)

@@ -210,6 +210,40 @@ def test_lambda_diag_inverse_roundtrip_limit_and_width():
             assert np.linalg.norm(b - f) / np.linalg.norm(f) < 1e-11
 
 
+def test_factored_own_block_matches_lab_round_trip():
+    """T R0 T* from the cached factorization equals forward(rfree(adjoint(chi)))."""
+    spec = SystemSpec(masses=(1.0, 2.0, 0.5), g=1.0)
+    grid = Grid(16, 3.2, 3)
+    systems = [LambdaMatrix(grid, spec, -20.0),
+               LambdaMatrix(grid, spec, -20.0, eps=0.2, force_chain=True),
+               LambdaMatrix(grid, spec, -20.0, eps=0.8)]
+    assert [type(lam.maps[0]).__name__ for lam in systems] == [
+        "LimitCouplingMap", "ChainCouplingMap", "ShearCouplingMap"]
+    rng = np.random.default_rng(10)
+    for lam in systems:
+        shape = grid.shape + (2,)
+        for k, cmap in enumerate(lam.maps):
+            chi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            ref = cmap.forward(lam.rfree(cmap.adjoint(chi)))
+            gap = np.max(np.abs(lam.own(k, chi) - ref)) / np.max(np.abs(ref))
+            assert gap <= 1e-12
+
+
+@pytest.mark.parametrize("grid, masses, z", [
+    (Grid(16, 3.2, 3), (1.0, 1.0, 1.0), -20.0),
+    (Grid(16, 3.2, 3), (1.0, 0.5, 2.0), -90.0),
+    (Grid(64, 6.4, 2), (1.0, 2.0), -9.0),
+], ids=["n3-equal", "n3-mixed", "n2"])
+def test_diagonal_slice_spectrum_audit(grid, masses, z):
+    """Exact audit: the stored block eigenvalues are >= 0 and g max <= contraction."""
+    spec = SystemSpec(masses=masses, g=1.0)
+    for eps in (None, 0.05):
+        lam = LambdaMatrix(grid, spec, z, eps=eps)
+        eigs = np.concatenate([vals.ravel() for _, _, vals in lam._diagonal()])
+        assert eigs.min() >= -1e-12
+        assert spec.g * eigs.max() <= lam.diagonal_contraction()
+
+
 def test_invert_lambda_residuals():
     """The guarded Neumann solve really inverts the block system."""
     cases = [

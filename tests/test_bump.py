@@ -111,6 +111,17 @@ def test_coupling_maps_reject_overflowing_width():
                       ChainCouplingMap)
 
 
+def test_width_map_constructors_check_the_box():
+    """Built directly, not through coupling_map, both width maps still refuse."""
+    grid = Grid(16, 3.2, 2)
+    spec = SystemSpec(masses=(1.0, 1.0), g=1.0)
+    pair = enumerate_pairs(spec)[0]
+    for cls in (ChainCouplingMap, ShearCouplingMap):
+        with pytest.raises(PotentialOverflowsBox):
+            cls(grid, spec, pair, 2.0)
+        assert isinstance(cls(grid, spec, pair, 1.5), cls)
+
+
 def test_resolution_gate():
     grid = Grid(32, 6.4, 2)  # h = 0.2
     assert resolution_ok(grid, 0.8)

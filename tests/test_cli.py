@@ -255,9 +255,22 @@ def test_thread_cap_not_applied_is_recorded_as_null(tmp_path, capsys,
     assert run("kernels", "--threads", "2", "--out", str(capped)) == 0
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--threads 2 not applied" in err
-    assert read_json(capped / "kernels.json")["threads"] is None
+    meta = read_json(capped / "kernels.json")
+    assert meta["threads"] == 2  # FFT workers, set through scipy.fft
+    assert meta["blas_threads"] is None
+    assert read_json(plain / "kernels.json")["threads"] == 1
     assert ((capped / "kernels.csv").read_bytes()
             == (plain / "kernels.csv").read_bytes())
+
+
+@pytest.mark.parametrize("command", ["kernels", "forms"])
+def test_thread_count_leaves_csv_bodies_unchanged(tmp_path, command):
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert run(command, "--threads", "1", "--out", str(one)) == 0
+    assert run(command, "--threads", "2", "--out", str(two)) == 0
+    assert read_json(two / (command + ".json"))["threads"] == 2
+    assert ((one / (command + ".csv")).read_bytes()
+            == (two / (command + ".csv")).read_bytes())
 
 
 def test_bad_grid_size_is_a_config_error(tmp_path, capsys):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from deltaresolvent.bump import LimitCouplingMap
 from deltaresolvent.forms import (apply_trace, evaluate_form,
                                   fourier_trace_identities,
                                   gradient_norm_squared, h1_norm_squared,
                                   momentum_trace, trace_adjoint)
-from deltaresolvent.grid import Grid, random_band_limited, to_momentum
-from deltaresolvent.system import SystemSpec, enumerate_pairs
+from deltaresolvent.grid import (Grid, lab_axes_from_front, lab_axes_to_front,
+                                 pair_frame_adjoint, pair_frame_forward,
+                                 random_band_limited, to_momentum)
+from deltaresolvent.system import SystemSpec, enumerate_pairs, frame_weights
 
 SPEC2 = SystemSpec(masses=(1.0, 1.0), g=1.0)
 SPEC3 = SystemSpec(masses=(1.0, 2.0, 0.5), g=1.0)
@@ -23,6 +26,43 @@ def test_trace_restricts_to_collision_hyperplane():
     diag = np.exp(-(1.0 + 0.7 - 0.3) * grid.x ** 2)
     # the reduced coordinate is the pair centre of mass = x at coincidence
     assert np.max(np.abs(t - diag)) < 1e-6
+
+
+def _relative_gap(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("spec", [SystemSpec(masses=(1.0, 2.0), g=1.0), SPEC3],
+                         ids=["n2", "n3"])
+def test_diagonal_gather_matches_pair_frame_row(spec):
+    """Trace and limit map (gather/scatter) against the spectral pair frame at r = 0."""
+    grid = Grid(16, 3.2, spec.n)
+    N = grid.npoints
+    rng = np.random.default_rng(9)
+    batch = (2,)
+    for pair in enumerate_pairs(spec):
+        alpha, beta = frame_weights(spec, pair)
+        cmap = LimitCouplingMap(grid, spec, pair)
+        f = rng.standard_normal(grid.shape + batch) \
+            + 1j * rng.standard_normal(grid.shape + batch)
+        y = rng.standard_normal(grid.shape[1:] + batch) \
+            + 1j * rng.standard_normal(grid.shape[1:] + batch)
+        front = lab_axes_to_front(f, spec, pair)
+        row = pair_frame_forward(grid, front, alpha, beta)[N // 2]
+        assert _relative_gap(apply_trace(grid, spec, pair, f), row) <= 1e-14
+        w = cmap.window.reshape((-1,) + (1,) * row.ndim)
+        assert _relative_gap(cmap.forward(f), w * row[None]) <= 1e-14
+
+        embedded = np.zeros((N,) + y.shape, dtype=complex)
+        embedded[N // 2] = y
+        ref = lab_axes_from_front(pair_frame_adjoint(grid, embedded, alpha, beta),
+                                  spec, pair)
+        assert _relative_gap(trace_adjoint(grid, spec, pair, y), ref / grid.h) <= 1e-14
+        chi = w * y[None]
+        embedded[N // 2] = np.sum(w * chi, axis=0)
+        ref = lab_axes_from_front(pair_frame_adjoint(grid, embedded, alpha, beta),
+                                  spec, pair)
+        assert _relative_gap(cmap.adjoint(chi), ref) <= 1e-14
 
 
 def test_trace_adjoint_pairing():
