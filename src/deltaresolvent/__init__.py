@@ -11,8 +11,8 @@ the factorized series honest.
 __version__ = "0.1.0"
 
 from .blocks import (DiagonalBlock, LambdaMatrix, OffDiagonalBlock,
-                     analytic_multiplier, invert_lambda,
-                     pair_class_multiplier, verify_block_convergence)
+                     invert_lambda, pair_class_multiplier,
+                     verify_block_convergence)
 from .bump import DEFAULT_PROFILE, BumpProfile, build_hamiltonian, coupling_map
 from .errors import (AboveThreshold, ConfigError, DeltaResolventError,
                      NoConvergence, PotentialOverflowsBox, SeriesDiverging,
@@ -47,7 +47,6 @@ __all__ = [
     "SystemSpec",
     "TraceAssembly",
     "UnresolvedBump",
-    "analytic_multiplier",
     "apply_trace",
     "assemble",
     "bound_constants",

@@ -67,7 +67,7 @@ def schur_row_closed_3d(z, d):
     return math.exp(-kappa * d / 2.0) / (2.0 * kappa)
 
 
-def audit_schur_3d(z, offsets=(0.0, 0.5, 1.0, 2.0)):
+def audit_schur_3d(z):
     """Row-sum bound for the shared-particle (3-d kernel) block class.
 
     Integrates the polar-reduced row integral at a ladder of hyperplane
@@ -78,6 +78,7 @@ def audit_schur_3d(z, offsets=(0.0, 0.5, 1.0, 2.0)):
     if z >= 0.0:
         raise ValueError("audit requires z < 0")
     root = math.sqrt(2.0 * abs(z))
+    offsets = (0.0, 0.5, 1.0, 2.0)
     rows = {}
     for d in offsets:
         val, _ = scipy.integrate.quad(
@@ -102,7 +103,7 @@ def _fourdim_row_integrand(rho, z, d):
     return 8.0 * math.pi * rho * rho * greens.greens_closed(4, z, arg)
 
 
-def audit_schur_4d(z, samples=10 ** 6, batches=20, seed=0, d=0.0):
+def audit_schur_4d(z, samples=10 ** 6, seed=0, d=0.0):
     """Row-sum bound for the disjoint-pair (4-d kernel) block class.
 
     Monte Carlo over the radial coordinate with an exponential proposal
@@ -116,6 +117,7 @@ def audit_schur_4d(z, samples=10 ** 6, batches=20, seed=0, d=0.0):
         raise ValueError("audit requires z < 0")
     rate = math.sqrt(2.0 * abs(z))
     rng = np.random.default_rng(seed)
+    batches = 20
     per = samples // batches
     means = []
     min_sample = np.inf
@@ -145,20 +147,19 @@ def audit_schur_4d(z, samples=10 ** 6, batches=20, seed=0, d=0.0):
                    measured, mc_ci=mc_ci, detail=detail)
 
 
-def _holder_majorant(z, eps, mu, profile, points=240):
+def _holder_majorant(z, eps, mu):
     """Tensor Gauss-Legendre value of ∫∫ V(r)V(r') e^{-2 eps sqrt(2 mu |z|) |r-r'|}."""
-    nodes, weights = np.polynomial.legendre.leggauss(points)
-    a = profile.support_radius
+    nodes, weights = np.polynomial.legendre.leggauss(240)
+    a = DEFAULT_PROFILE.support_radius
     r = a * nodes
     w = a * weights
-    v2 = profile.potential(r)
+    v2 = DEFAULT_PROFILE.potential(r)
     decay = 2.0 * eps * math.sqrt(2.0 * mu * abs(z))
     kernel = np.exp(-decay * np.abs(r[:, None] - r[None, :]))
     return float(np.einsum("i,j,ij->", w * v2, w * v2, kernel))
 
 
-def audit_diagonal_bound(grid, spec, z, eps, profile=DEFAULT_PROFILE,
-                         offsets=None):
+def audit_diagonal_bound(grid, spec, z, eps):
     """End-to-end diagonal block norm against sqrt(mu/2) |g| / sqrt(|z|).
 
     Also evaluates the proof's intermediate majorant (which must stay
@@ -167,15 +168,14 @@ def audit_diagonal_bound(grid, spec, z, eps, profile=DEFAULT_PROFILE,
     """
     z = float(z)
     pair = sysmod.enumerate_pairs(spec)[0]
-    block = DiagonalBlock(grid, spec, pair, z, eps, profile)
-    if offsets is None:
-        offsets = np.linspace(0.0, 4.0 * abs(z), 17)
+    block = DiagonalBlock(grid, spec, pair, z, eps)
+    offsets = np.linspace(0.0, 4.0 * abs(z), 17)
     mats = np.stack([block.kernel_matrix(q) for q in offsets])
     eigs = np.linalg.eigvalsh(mats)
     measured = float(np.max(np.abs(eigs)))
     claimed = block.claimed_bound()
     inverse_measured = float(np.max(1.0 / np.min(np.abs(1.0 - eigs), axis=1)))
-    majorant = _holder_majorant(z, eps, pair.mu, profile)
+    majorant = _holder_majorant(z, eps, pair.mu)
     detail = {
         "majorant": majorant,
         "majorant_claim": 1.0,
@@ -188,20 +188,19 @@ def audit_diagonal_bound(grid, spec, z, eps, profile=DEFAULT_PROFILE,
                    detail=detail)
 
 
-def audit_convergence_constant(grid, spec, z, eps_list=(0.2, 0.1),
-                               profile=DEFAULT_PROFILE):
+def audit_convergence_constant(grid, spec, z):
     """Narrow-width convergence of the diagonal block at the explicit rate.
 
     The claimed linear constant is 2 |g| mu sqrt(∫ r² V); measured is the
-    largest gap-to-width ratio over the requested widths, which must sit
+    largest gap-to-width ratio over the widths 0.2 and 0.1, which must sit
     below it.
     """
     z = float(z)
     pair = sysmod.enumerate_pairs(spec)[0]
-    conv = verify_block_convergence(grid, spec, pair, z, list(eps_list),
-                                    profile)
+    eps_list = (0.2, 0.1)
+    conv = verify_block_convergence(grid, spec, pair, z, eps_list)
     measured = max(g / e for g, e in zip(conv.gaps, conv.eps))
-    moment = profile.potential_moment(2)
+    moment = DEFAULT_PROFILE.potential_moment(2)
     detail = {
         "gaps": conv.gaps,
         "eps": conv.eps,
@@ -225,7 +224,7 @@ DEFAULT_COUPLINGS = (0.5, 1.0, 2.0)
 DEFAULT_POINTS = (-4.0, -10.0, -25.0)
 
 
-def run_default_sweep(seed=0, samples=10 ** 6, profile=DEFAULT_PROFILE):
+def run_default_sweep(seed=0, samples=10 ** 6):
     """Full audit sweep: block audits over the mass/coupling/z lattice,
     plus one pair of row-sum audits per spectral point.
 
@@ -241,8 +240,6 @@ def run_default_sweep(seed=0, samples=10 ** 6, profile=DEFAULT_PROFILE):
         for g in DEFAULT_COUPLINGS:
             spec = sysmod.SystemSpec(masses=masses, g=g)
             for z in DEFAULT_POINTS:
-                audits.append(audit_diagonal_bound(grid, spec, z, eps=0.1,
-                                                   profile=profile))
-                audits.append(audit_convergence_constant(grid, spec, z,
-                                                         profile=profile))
+                audits.append(audit_diagonal_bound(grid, spec, z, eps=0.1))
+                audits.append(audit_convergence_constant(grid, spec, z))
     return audits

@@ -9,9 +9,8 @@ configuration), and the system matrix is
 
 with R0 the free resolvent.  This module provides
 
-  * momentum multipliers on the reduced configuration space: the exact
-    grid multiplier tau R0 tau* (a wrapped class sum) and its analytic
-    continuum counterpart sqrt(mu/2) / sqrt(Q - z);
+  * the exact grid multiplier tau R0 tau* on the reduced configuration
+    space (a wrapped class sum over reduced momenta);
   * DiagonalBlock: the explicit symmetric kernel of Phi_{sigma sigma}
     on the support of the profile, for norm measurements against the
     claimed bound sqrt(mu/2) |g| / sqrt(|z|);
@@ -36,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+import scipy.linalg
+import scipy.special
 
 from . import grid as gridmod
 from . import system as sysmod
@@ -45,9 +46,13 @@ from .errors import (
     SameBlockRequested,
     SeriesDiverging,
 )
-from .greens import bessel_k1
 
+# Chunk (entries) of the 4-d kernel lattice evaluated at once; the disjoint
+# 16^6 lattice is 134 MB, so its K1 temporaries are built piecewise.
 _K1_CHUNK = 1 << 21
+
+# Neumann terms invert_lambda adds before giving up.
+MAX_TERMS = 200
 
 
 def _spectator_kinetic(grid, spec, pair):
@@ -65,19 +70,6 @@ def _spectator_kinetic(grid, spec, pair):
         view[axis] = grid.npoints
         total = total + (p2 / (2.0 * m)).reshape(view)
     return total
-
-
-def reduced_kinetic(grid, spec, pair):
-    """Continuum kinetic multiplier on the reduced configuration lattice.
-
-    Axis order (P, spectators ascending); entry P^2 / (2 M_pair) plus the
-    spectator kinetic energies, evaluated on the momentum lattice.
-    """
-    n = spec.n
-    view = [1] * (n - 1)
-    view[0] = grid.npoints
-    com = (grid.p ** 2 / (2.0 * pair.total)).reshape(view)
-    return com + _spectator_kinetic(grid, spec, pair)
 
 
 def pair_class_multiplier(grid, spec, pair, z):
@@ -110,14 +102,6 @@ def pair_class_multiplier(grid, spec, pair, z):
     return np.sum(1.0 / denom, axis=0) / grid.box
 
 
-def analytic_multiplier(grid, spec, pair, z):
-    """Continuum multiplier sqrt(mu/2) / sqrt(Q - z) on the reduced lattice."""
-    if z >= 0:
-        raise ValueError("multiplier requires a real negative spectral parameter")
-    q = reduced_kinetic(grid, spec, pair)
-    return math.sqrt(pair.mu / 2.0) / np.sqrt(q - z)
-
-
 # ---------------------------------------------------------------------------
 # Diagonal blocks
 # ---------------------------------------------------------------------------
@@ -137,7 +121,7 @@ class DiagonalBlock:
     contributes, so kernels are materialized on that subgrid.
     """
 
-    def __init__(self, grid, spec, pair, z, eps=None, profile=DEFAULT_PROFILE):
+    def __init__(self, grid, spec, pair, z, eps=None):
         if z >= 0:
             raise ValueError("diagonal block requires z < 0")
         self.grid = grid
@@ -145,11 +129,10 @@ class DiagonalBlock:
         self.pair = pair
         self.z = float(z)
         self.eps = None if eps is None else float(eps)
-        self.profile = profile
-        mask = np.abs(grid.x) < profile.support_radius
+        mask = np.abs(grid.x) < DEFAULT_PROFILE.support_radius
         self.indices = np.nonzero(mask)[0]
         self.r = grid.x[self.indices]
-        self.v = profile.value(self.r)
+        self.v = DEFAULT_PROFILE.value(self.r)
 
     def kernel_matrix(self, q=0.0):
         """Symmetric kernel matrix (quadrature weight included) at offset q."""
@@ -163,15 +146,14 @@ class DiagonalBlock:
             outer = outer * np.exp(-decay * np.abs(self.r[:, None] - self.r[None, :]))
         return pref * outer * self.grid.h
 
-    def norm(self, offsets=None):
+    def norm(self):
         """Largest fiber operator norm over a lattice of kinetic offsets.
 
-        The kernel norm decreases with the offset, so the default lattice
-        starts at q = 0 where the supremum is attained.
+        The kernel norm decreases with the offset, so the lattice starts
+        at q = 0 where the supremum is attained.
         """
-        if offsets is None:
-            offsets = np.linspace(0.0, 4.0 * abs(self.z), 17)
-        mats = np.stack([self.kernel_matrix(q) for q in np.atleast_1d(offsets)])
+        offsets = np.linspace(0.0, 4.0 * abs(self.z), 17)
+        mats = np.stack([self.kernel_matrix(q) for q in offsets])
         eigs = np.linalg.eigvalsh(mats)
         return float(np.max(np.abs(eigs)))
 
@@ -190,8 +172,7 @@ class BlockConvergence:
     slope: float
 
 
-def verify_block_convergence(grid, spec, pair, z, eps_list, profile=DEFAULT_PROFILE,
-                             offsets=None):
+def verify_block_convergence(grid, spec, pair, z, eps_list):
     """Measure ||block(eps) - block(0)|| against the linear-rate claim.
 
     The claimed rate is 2 |g| mu sqrt(second moment of the squared
@@ -200,19 +181,18 @@ def verify_block_convergence(grid, spec, pair, z, eps_list, profile=DEFAULT_PROF
     Returns the measured gaps, the claimed rate, and the fitted log-log
     slope of gap against width.
     """
-    if offsets is None:
-        offsets = np.linspace(0.0, 4.0 * abs(z), 9)
-    limit = DiagonalBlock(grid, spec, pair, z, None, profile)
+    offsets = np.linspace(0.0, 4.0 * abs(z), 9)
+    limit = DiagonalBlock(grid, spec, pair, z, None)
     base = {q: limit.kernel_matrix(q) for q in offsets}
     gaps = []
     for eps in eps_list:
-        blk = DiagonalBlock(grid, spec, pair, z, eps, profile)
+        blk = DiagonalBlock(grid, spec, pair, z, eps)
         gap = 0.0
         for q in offsets:
             diff = blk.kernel_matrix(q) - base[q]
             gap = max(gap, float(np.max(np.abs(np.linalg.eigvalsh(diff)))))
         gaps.append(gap)
-    moment = profile.potential_moment(2)
+    moment = DEFAULT_PROFILE.potential_moment(2)
     rate = 2.0 * abs(spec.g) * pair.mu * math.sqrt(moment)
     slope = float(np.polyfit(np.log(eps_list), np.log(gaps), 1)[0])
     return BlockConvergence(tuple(eps_list), tuple(gaps), rate, slope)
@@ -239,7 +219,7 @@ def _bulk_kernel_4d(kappa, rho):
         good = piece > 0.0
         vals = np.zeros_like(piece)
         arg = kappa * piece[good]
-        vals[good] = kappa * bessel_k1(arg) / (4.0 * math.pi ** 2 * piece[good])
+        vals[good] = kappa * scipy.special.k1(arg) / (4.0 * math.pi ** 2 * piece[good])
         flat_out[lo:lo + _K1_CHUNK] = vals
     return out
 
@@ -253,15 +233,17 @@ class OffDiagonalBlock:
     displacement vector fed to the free-space kernel in 3 dimensions
     (pairs sharing a particle) or 4 (disjoint pairs).  Coincidence
     points of the displacement are singular; the materialized matrix
-    sets those entries to zero, which can only underestimate the norm
-    and therefore keeps bound audits honest.
+    sets those entries to zero.  Every entry carries the sign of the
+    coupling constant, so dropping them can only lower the norm: the
+    measured norm is a lower estimate of the block's, and an audit of
+    "measured <= claimed" on it is lenient.
 
     The explicit kernel lattice is implemented for the two smallest
     systems exhibiting each geometry (three particles for a shared
     member, four for disjoint pairs).
     """
 
-    def __init__(self, grid, spec, sigma, nu, z, profile=DEFAULT_PROFILE):
+    def __init__(self, grid, spec, sigma, nu, z):
         if (sigma.i, sigma.j) == (nu.i, nu.j):
             raise SameBlockRequested("off-diagonal block needs two distinct pairs")
         if z >= 0:
@@ -271,7 +253,6 @@ class OffDiagonalBlock:
         self.sigma = sigma
         self.nu = nu
         self.z = float(z)
-        self.profile = profile
         common = {sigma.i, sigma.j} & {nu.i, nu.j}
         self.kind = "shared" if len(common) == 1 else "disjoint"
         if self.kind == "shared":
@@ -347,29 +328,19 @@ class OffDiagonalBlock:
         weight = self.grid.h ** (n - 1)
         return (self.coupling_constant() * weight) * ker.reshape(size, size)
 
-    def norm(self, rng=None, iters=60):
-        """Operator norm of the materialized kernel, with the profile factor.
+    def norm(self):
+        """Exact operator norm of the materialized kernel, with the profile factor.
 
-        Power iteration on the normal matrix; the profile carries unit
-        continuum norm, so only its sampled-quadrature norm enters.
+        The largest singular value, from the top eigenvalue of the normal
+        matrix; the profile carries unit continuum norm, so only its
+        sampled-quadrature norm enters.
         """
-        if rng is None:
-            rng = np.random.default_rng(0)
         mat = self.kernel_matrix()
-        vec = rng.standard_normal(mat.shape[1])
-        vec /= np.linalg.norm(vec)
-        est = 0.0
-        for _ in range(iters):
-            img = mat @ vec
-            back = mat.T @ img
-            est = math.sqrt(np.linalg.norm(back))
-            scale = np.linalg.norm(back)
-            if scale == 0.0:
-                return 0.0
-            vec = back / scale
-        window = self.profile.value(self.grid.x)
+        size = mat.shape[1]
+        top = scipy.linalg.eigvalsh(mat.T @ mat, subset_by_index=[size - 1, size - 1])
+        window = DEFAULT_PROFILE.value(self.grid.x)
         vnorm = self.grid.h * float(np.sum(window ** 2))
-        return abs(est) * vnorm
+        return math.sqrt(max(float(top[0]), 0.0)) * vnorm
 
     def claimed_bound(self):
         """The a priori norm bound K |g| / sqrt(|z|)."""
@@ -488,16 +459,15 @@ class ChannelSystem:
 
     # -- the resolvent --------------------------------------------------------
 
-    def solve_channels(self, fields, tol, max_terms, force):
+    def solve_channels(self, fields, tol, force):
         """Solve (1 - g T R0 T*) x = fields by the guarded Neumann iteration."""
-        return invert_lambda(self, fields, tol=tol, max_terms=max_terms,
-                             force=force)
+        return invert_lambda(self, fields, tol=tol, force=force)
 
-    def resolve(self, field, tol, max_terms, force):
+    def resolve(self, field, tol, force):
         """(H - z)^{-1} field as R0 f + g R0 T* (1 - g T R0 T*)^{-1} T R0 f."""
         u0 = self.rfree(np.asarray(field, dtype=complex))
         channels = [self.lift(k, u0) for k in range(len(self.pairs))]
-        sol = self.solve_channels(channels, tol, max_terms, force)
+        sol = self.solve_channels(channels, tol, force)
         return u0 + self.spec.g * self.smoothed(sol)
 
 
@@ -515,12 +485,10 @@ class LambdaMatrix(ChannelSystem):
     The block and its inverse are then slice-wise multiplications.
     """
 
-    def __init__(self, grid, spec, z, eps=None, profile=DEFAULT_PROFILE,
-                 force_chain=False):
+    def __init__(self, grid, spec, z, eps=None, force_chain=False):
         super().__init__(grid, spec, z)
         self.eps = None if eps is None else float(eps)
-        self.profile = profile
-        self.maps = [coupling_map(grid, spec, p, eps, profile, force_chain)
+        self.maps = [coupling_map(grid, spec, p, eps, force_chain)
                      for p in self.pairs]
         self._diag_cache = None
 
@@ -578,7 +546,7 @@ class LambdaMatrix(ChannelSystem):
                 for k, f in enumerate(fields)]
 
 
-def invert_lambda(lam, fields, tol=1e-10, max_terms=200, force=False):
+def invert_lambda(lam, fields, tol=1e-10, force=False):
     """Solve the coupled channel system below the guarded threshold.
 
     Factorizes the inverse as (1 + D^-1 F)^-1 D^-1 with D the diagonal
@@ -612,10 +580,10 @@ def invert_lambda(lam, fields, tol=1e-10, max_terms=200, force=False):
         if size * factor <= tol * scale:
             return total
         terms += 1
-        if terms > max_terms:
+        if terms > MAX_TERMS:
             raise SeriesDiverging(
                 "tail bound still %.3g after %d terms"
-                % (size * factor / scale, max_terms))
+                % (size * factor / scale, MAX_TERMS))
         current = lam.apply_diag_inverse(lam.apply_offdiag(current))
         current = [-c for c in current]
         total = [t + c for t, c in zip(total, current)]

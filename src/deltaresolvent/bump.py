@@ -44,16 +44,14 @@ class BumpProfile:
         return self.potential(np.asarray(x, dtype=float) / eps) / eps
 
     @classmethod
-    def calibrated(cls, support_radius=1.0):
-        """Recompute the normalization by quadrature instead of trusting the constant."""
-
-        def unnorm(x):
-            return np.exp(-2.0 / (1.0 - (x / support_radius) ** 2))
-
+    def calibrated(cls):
+        """Recompute the unit-radius normalization by quadrature instead of
+        trusting the constant."""
         mass, _ = scipy.integrate.quad(
-            unnorm, -support_radius, support_radius, epsabs=1e-14, epsrel=1e-13
+            lambda x: np.exp(-2.0 / (1.0 - x ** 2)), -1.0, 1.0,
+            epsabs=1e-14, epsrel=1e-13
         )
-        return cls(support_radius, 1.0 / np.sqrt(mass))
+        return cls(1.0, 1.0 / np.sqrt(mass))
 
     def potential_moment(self, order):
         """Moment integral of x^order against the squared profile."""
@@ -68,51 +66,51 @@ class BumpProfile:
 DEFAULT_PROFILE = BumpProfile()
 
 
-def renormalized_samples(grid, profile=DEFAULT_PROFILE):
+def renormalized_samples(grid):
     """Profile samples rescaled so the grid quadrature of v^2 is exactly one.
 
     The continuum normalization only holds up to O(h^k) on the grid; the
     limit coupling blocks use these corrected samples so factorization
     identities close to machine precision instead of to quadrature error.
     """
-    v = profile.value(grid.x)
+    v = DEFAULT_PROFILE.value(grid.x)
     mass = grid.h * float(np.sum(v ** 2))
     return v / np.sqrt(mass)
 
 
-def check_fits_box(grid, eps, profile=DEFAULT_PROFILE):
+def check_fits_box(grid, eps):
     """Raise PotentialOverflowsBox unless the width-eps bump fits in half the box.
 
     A wider bump overlaps its own periodic images, so what the grid
     samples is no longer V_eps.
     """
-    if eps * profile.support_radius >= grid.box / 2:
+    if eps * DEFAULT_PROFILE.support_radius >= grid.box / 2:
         raise PotentialOverflowsBox(
             "support radius %g exceeds half box %g"
-            % (eps * profile.support_radius, grid.box / 2)
+            % (eps * DEFAULT_PROFILE.support_radius, grid.box / 2)
         )
 
 
-def sampled_pair_potential(grid, eps, profile=DEFAULT_PROFILE):
+def sampled_pair_potential(grid, eps):
     """V_eps at the wrapped pairwise separation, as a 2-d array over (i, j) indices."""
-    check_fits_box(grid, eps, profile)
+    check_fits_box(grid, eps)
     sep = gridmod.minimum_image_separation(grid)
-    return profile.scaled_potential(sep, eps)
+    return DEFAULT_PROFILE.scaled_potential(sep, eps)
 
 
-def resolution_ok(grid, eps, profile=DEFAULT_PROFILE):
+def resolution_ok(grid, eps):
     """Whether the scaled potential puts at least 8 grid points across its support."""
-    return 2.0 * eps * profile.support_radius >= 8.0 * grid.h - 1e-12
+    return 2.0 * eps * DEFAULT_PROFILE.support_radius >= 8.0 * grid.h - 1e-12
 
 
-def build_hamiltonian(grid, spec, eps, profile=DEFAULT_PROFILE):
+def build_hamiltonian(grid, spec, eps):
     """Assemble the regularized generator with pointwise-sampled potentials."""
-    if not resolution_ok(grid, eps, profile):
+    if not resolution_ok(grid, eps):
         raise UnresolvedBump(
             "scaled support %g spans fewer than 8 grid cells (h = %g)"
-            % (2.0 * eps * profile.support_radius, grid.h)
+            % (2.0 * eps * DEFAULT_PROFILE.support_radius, grid.h)
         )
-    v2 = sampled_pair_potential(grid, eps, profile)
+    v2 = sampled_pair_potential(grid, eps)
     pairs = sysmod.enumerate_pairs(spec)
     return gridmod.HamiltonianEps(grid, spec, eps, [(p, v2) for p in pairs])
 
@@ -135,14 +133,14 @@ def build_hamiltonian(grid, spec, eps, profile=DEFAULT_PROFILE):
 class ChainCouplingMap:
     """A_eps for one pair via frame change + squeeze + profile window."""
 
-    def __init__(self, grid, spec, pair, eps, profile=DEFAULT_PROFILE):
-        check_fits_box(grid, eps, profile)
+    def __init__(self, grid, spec, pair, eps):
+        check_fits_box(grid, eps)
         self.grid = grid
         self.spec = spec
         self.pair = pair
         self.eps = float(eps)
         self.alpha, self.beta = sysmod.frame_weights(spec, pair)
-        self.window = renormalized_samples(grid, profile)
+        self.window = renormalized_samples(grid)
 
     def forward(self, lab_field):
         f = gridmod.lab_axes_to_front(lab_field, self.spec, self.pair)
@@ -165,9 +163,9 @@ class ChainCouplingMap:
 class ShearCouplingMap:
     """A_eps for one pair via the exact index shear; needs a resolved bump."""
 
-    def __init__(self, grid, spec, pair, eps, profile=DEFAULT_PROFILE):
-        check_fits_box(grid, eps, profile)
-        if not resolution_ok(grid, eps, profile):
+    def __init__(self, grid, spec, pair, eps):
+        check_fits_box(grid, eps)
+        if not resolution_ok(grid, eps):
             raise UnresolvedBump(
                 "shear factorization needs the scaled bump resolved by the grid"
             )
@@ -178,7 +176,7 @@ class ShearCouplingMap:
         sep = gridmod.minimum_image_separation(grid)[:, 0]
         # wrapped separation value for difference index d at member-j index 0;
         # by translation invariance the same for every member-j index
-        self.root = np.sqrt(profile.scaled_potential(sep, eps))
+        self.root = np.sqrt(DEFAULT_PROFILE.scaled_potential(sep, eps))
         self._idx = np.arange(grid.npoints)
 
     def forward(self, lab_field):
@@ -214,11 +212,11 @@ class LimitCouplingMap:
     f[k, k, ...] and its adjoint the diagonal scatter.
     """
 
-    def __init__(self, grid, spec, pair, profile=DEFAULT_PROFILE):
+    def __init__(self, grid, spec, pair):
         self.grid = grid
         self.spec = spec
         self.pair = pair
-        self.window = renormalized_samples(grid, profile)
+        self.window = renormalized_samples(grid)
 
     def forward(self, lab_field):
         f = gridmod.lab_axes_to_front(lab_field, self.spec, self.pair)
@@ -241,7 +239,7 @@ class LimitCouplingMap:
         return np.nonzero(self.window)[0]
 
 
-def coupling_map(grid, spec, pair, eps=None, profile=DEFAULT_PROFILE, force_chain=False):
+def coupling_map(grid, spec, pair, eps=None, force_chain=False):
     """Pick the coupling factorization for one pair.
 
     eps=None yields the limit map.  Positive eps must fit the bump in
@@ -251,7 +249,7 @@ def coupling_map(grid, spec, pair, eps=None, profile=DEFAULT_PROFILE, force_chai
     with force_chain).
     """
     if eps is None:
-        return LimitCouplingMap(grid, spec, pair, profile)
-    if not force_chain and resolution_ok(grid, eps, profile):
-        return ShearCouplingMap(grid, spec, pair, eps, profile)
-    return ChainCouplingMap(grid, spec, pair, eps, profile)
+        return LimitCouplingMap(grid, spec, pair)
+    if not force_chain and resolution_ok(grid, eps):
+        return ShearCouplingMap(grid, spec, pair, eps)
+    return ChainCouplingMap(grid, spec, pair, eps)

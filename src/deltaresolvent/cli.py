@@ -9,49 +9,10 @@ kernels    Green's function tables, closed form vs quadrature
 kk-check   block-factorized resolvent against the dense direct solve
 forms      trace/form identity residuals on random fields
 
-Configuration is an INI file (every section and key optional; built-in
-defaults otherwise):
-
-    [system]
-    masses = 1.0, 1.0
-    g = 1.0
-
-    [grid]
-    npoints = 64, 128        ; ladder, paired with box entries
-    box = 12.8, 12.8         ; single value broadcasts
-
-    [converge]
-    z = -20.0                ; list allowed
-    eps = 0.4, 0.2, 0.1, 0.05
-    iters = 12
-    restarts = 2
-    tol = 1e-10
-
-    [spectrum]
-    eps = 0.4, 0.2
-    shift = -2.0
-    steps = 80
-    tol = 1e-9
-
-    [kk]
-    z = -16.0
-    eps = 0.25
-    probes = 10
-    tol = 1e-10
-    tolerance = 1e-6         ; verdict threshold on the deviation
-
-    [kernels]
-    dims = 1, 3, 4
-    z = -1.0
-    x_min = 0.1
-    x_max = 2.0
-    points = 20
-
-    [forms]
-    count = 25
-
-    [bounds]
-    samples = 1000000
+Configuration is an INI file whose sections and keys are all optional;
+_OPTIONS below holds every key with its default and its check, and the
+README's Configuration section lists them.  A bad value is a config
+error that names its section and key.
 
 Reports land in --out (or $DELTARESOLVENT_OUT, default ./reports) as
 <command>.csv plus <command>.json; CSV bodies are byte-identical across
@@ -65,7 +26,6 @@ import configparser
 import contextlib
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -94,24 +54,89 @@ _FLOAT_FMT = "%.17g"
 # ---------------------------------------------------------------------------
 
 
-def _parse_float_list(text, what):
-    try:
-        values = [float(tok) for tok in text.replace(",", " ").split()]
-    except ValueError:
-        raise ConfigError("%s: expected numbers, got %r" % (what, text))
+def _numbers(text):
+    values = [float(tok) for tok in text.replace(",", " ").split()]
     if not values:
-        raise ConfigError("%s: empty list" % what)
+        raise ValueError("empty list")
     return values
 
 
-def _parse_int_list(text, what):
-    values = _parse_float_list(text, what)
-    out = []
-    for v in values:
-        if v != int(v):
-            raise ConfigError("%s: expected integers, got %r" % (what, text))
-        out.append(int(v))
-    return out
+def _integers(text):
+    values = _numbers(text)
+    if not all(v.is_integer() for v in values):
+        raise ValueError("expected integers, got %r" % text)
+    return [int(v) for v in values]
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NEGATIVE = (lambda v: v < 0, "must be negative")
+
+# section -> key -> (parser, default, check); a check is (predicate on each
+# value, what it requires), None where the system spec validates instead.
+# The grid defaults depend on the command, which passes its own.
+_OPTIONS = {
+    "system": {
+        "masses": (sysmod.parse_masses, "1.0, 1.0", None),
+        "g": (float, "1.0", None),
+    },
+    "grid": {
+        "npoints": (_integers, None,
+                    (lambda n: n >= 8 and n & (n - 1) == 0,
+                     "must be a power of two, at least 8")),
+        "box": (_numbers, None, _POSITIVE),
+    },
+    "converge": {
+        "z": (_numbers, "-20.0", _NEGATIVE),
+        "eps": (_numbers, "0.4, 0.2, 0.1, 0.05", _POSITIVE),
+        "iters": (int, "12", _POSITIVE),
+        "restarts": (int, "2", _POSITIVE),
+        "tol": (float, "1e-10", _POSITIVE),
+    },
+    "spectrum": {
+        "eps": (_numbers, "0.4, 0.2", _POSITIVE),
+        "shift": (float, "-2.0", _NEGATIVE),
+        "steps": (int, "80", _POSITIVE),
+        "tol": (float, "1e-9", _POSITIVE),
+    },
+    "kk": {
+        "z": (float, "-16.0", _NEGATIVE),
+        "eps": (float, "0.25", _POSITIVE),
+        "probes": (int, "10", _POSITIVE),
+        "tol": (float, "1e-10", _POSITIVE),
+        "tolerance": (float, "1e-6", _POSITIVE),
+    },
+    "kernels": {
+        "dims": (_integers, "1, 3, 4",
+                 (lambda d: d in (1, 2, 3, 4), "must be 1, 2, 3 or 4")),
+        "z": (_numbers, "-1.0", _NEGATIVE),
+        "x_min": (float, "0.1", _POSITIVE),
+        "x_max": (float, "2.0", _POSITIVE),
+        "points": (int, "20", (lambda v: v >= 2, "must be at least 2")),
+    },
+    "forms": {
+        "count": (int, "25", _POSITIVE),
+    },
+    "bounds": {
+        "samples": (int, "1000000", (lambda v: v >= 1000,
+                                     "must be at least 1000")),
+    },
+}
+
+
+def _option(cfg, section, key, default=None):
+    """Read, parse and check one config value (``default`` overrides the table's)."""
+    parse, fallback, check = _OPTIONS[section][key]
+    text = cfg.get(section, key, fallback=fallback if default is None else default)
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        raise ConfigError("%s %s: %s" % (section, key, exc))
+    if check is not None:
+        ok, need = check
+        for v in value if isinstance(value, list) else [value]:
+            if not ok(v):
+                raise ConfigError("%s %s: %s, got %s" % (section, key, need, _fmt(v)))
+    return value
 
 
 def load_config(path):
@@ -127,59 +152,32 @@ def load_config(path):
     return cfg
 
 
-def _get(cfg, section, key, default):
-    if cfg.has_option(section, key):
-        return cfg.get(section, key)
-    return default
-
-
 def _system_from(cfg):
-    masses_text = _get(cfg, "system", "masses", "1.0, 1.0")
-    g_text = _get(cfg, "system", "g", "1.0")
     try:
-        masses = sysmod.parse_masses(masses_text)
-        spec = sysmod.SystemSpec(masses=masses, g=float(g_text))
+        return sysmod.SystemSpec(masses=_option(cfg, "system", "masses"),
+                                 g=_option(cfg, "system", "g"))
     except ValueError as exc:
         raise ConfigError("system section: %s" % exc)
-    return spec
 
 
 def _grid_ladder(cfg, ndim, default_npoints, default_box):
-    npoints = _parse_int_list(
-        _get(cfg, "grid", "npoints", default_npoints), "grid npoints")
-    boxes = _parse_float_list(_get(cfg, "grid", "box", default_box),
-                              "grid box")
+    npoints = _option(cfg, "grid", "npoints", default_npoints)
+    boxes = _option(cfg, "grid", "box", default_box)
     if len(boxes) == 1:
         boxes = boxes * len(npoints)
     if len(boxes) != len(npoints):
         raise ConfigError("grid section: %d npoints entries vs %d box entries"
                           % (len(npoints), len(boxes)))
-    grids = []
-    for n, box in zip(npoints, boxes):
-        if n < 8:
-            raise ConfigError("grid npoints must be at least 8, got %d" % n)
-        if box <= 0:
-            raise ConfigError("grid box must be positive, got %g" % box)
-        grids.append(gridmod.Grid(n, box, ndim))
-    return grids
+    return [gridmod.Grid(n, box, ndim) for n, box in zip(npoints, boxes)]
 
 
-def _check_spectral_points(z_values, spec, force, what):
+def _check_below_threshold(z_values, spec, force, what):
     z0 = sysmod.bound_constants(spec).threshold
     for z in z_values:
-        if z >= 0:
-            raise ConfigError("%s: z = %g must be negative" % (what, z))
         if z >= z0 and not force:
             raise ConfigError(
                 "%s: z = %g is not below the inversion threshold z0 = %g "
                 "(--force unlocks this, unsupported)" % (what, z, z0))
-
-
-def _check_widths(eps_values, what):
-    for eps in eps_values:
-        if eps <= 0:
-            raise ConfigError("%s: widths must be positive, got %g"
-                              % (what, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +255,12 @@ def _write_report(args, command, wallclock_ms, header, rows, fields):
 def cmd_converge(args, cfg):
     spec = _system_from(cfg)
     grids = _grid_ladder(cfg, spec.n, "64", "12.8")
-    z_values = _parse_float_list(_get(cfg, "converge", "z", "-20.0"),
-                                 "converge z")
-    eps_values = _parse_float_list(
-        _get(cfg, "converge", "eps", "0.4, 0.2, 0.1, 0.05"), "converge eps")
-    iters = int(_get(cfg, "converge", "iters", "12"))
-    restarts = int(_get(cfg, "converge", "restarts", "2"))
-    tol = float(_get(cfg, "converge", "tol", "1e-10"))
-    _check_spectral_points(z_values, spec, args.force, "converge")
-    _check_widths(eps_values, "converge")
+    z_values = _option(cfg, "converge", "z")
+    eps_values = _option(cfg, "converge", "eps")
+    iters = _option(cfg, "converge", "iters")
+    restarts = _option(cfg, "converge", "restarts")
+    tol = _option(cfg, "converge", "tol")
+    _check_below_threshold(z_values, spec, args.force, "converge")
 
     start = time.perf_counter()
     report = resolventmod.convergence_sweep(
@@ -304,14 +299,10 @@ def cmd_converge(args, cfg):
 def cmd_spectrum(args, cfg):
     spec = _system_from(cfg)
     grids = _grid_ladder(cfg, spec.n, "512", "25.6")
-    eps_values = _parse_float_list(_get(cfg, "spectrum", "eps", "0.4, 0.2"),
-                                   "spectrum eps")
-    shift = float(_get(cfg, "spectrum", "shift", "-2.0"))
-    steps = int(_get(cfg, "spectrum", "steps", "80"))
-    tol = float(_get(cfg, "spectrum", "tol", "1e-9"))
-    _check_widths(eps_values, "spectrum")
-    if shift >= 0:
-        raise ConfigError("spectrum: shift must be negative, got %g" % shift)
+    eps_values = _option(cfg, "spectrum", "eps")
+    shift = _option(cfg, "spectrum", "shift")
+    steps = _option(cfg, "spectrum", "steps")
+    tol = _option(cfg, "spectrum", "tol")
 
     start = time.perf_counter()
     rows = []
@@ -363,7 +354,7 @@ def cmd_spectrum(args, cfg):
     return 0
 
 
-def _default_block_rows(seed):
+def _default_block_rows():
     """Block norms against their claims for the bounds report."""
     rows = []
     grid1 = auditsmod.default_audit_grid()
@@ -380,20 +371,18 @@ def _default_block_rows(seed):
     shared = blocksmod.OffDiagonalBlock(
         grid3, spec3, sysmod.enumerate_pairs(spec3)[0],
         sysmod.enumerate_pairs(spec3)[1], z)
-    norm = shared.norm(rng=np.random.default_rng(seed))
+    norm = shared.norm()
     bound = shared.claimed_bound()
     rows.append(("(1,2)", "(1,3)", "", norm, bound, norm / bound))
     return rows
 
 
 def cmd_bounds(args, cfg):
-    samples = int(_get(cfg, "bounds", "samples", "1000000"))
-    if samples < 1000:
-        raise ConfigError("bounds: samples must be at least 1000")
+    samples = _option(cfg, "bounds", "samples")
 
     start = time.perf_counter()
     results = auditsmod.run_default_sweep(seed=args.seed, samples=samples)
-    block_rows = _default_block_rows(args.seed)
+    block_rows = _default_block_rows()
     wall = 1000.0 * (time.perf_counter() - start)
 
     rows = [(r.name, json.dumps(r.inputs, sort_keys=True), r.claimed,
@@ -418,23 +407,13 @@ def cmd_bounds(args, cfg):
 
 
 def cmd_kernels(args, cfg):
-    dims = _parse_int_list(_get(cfg, "kernels", "dims", "1, 3, 4"),
-                           "kernels dims")
-    z_values = _parse_float_list(_get(cfg, "kernels", "z", "-1.0"),
-                                 "kernels z")
-    x_min = float(_get(cfg, "kernels", "x_min", "0.1"))
-    x_max = float(_get(cfg, "kernels", "x_max", "2.0"))
-    points = int(_get(cfg, "kernels", "points", "20"))
-    for d in dims:
-        if d not in (1, 2, 3, 4):
-            raise ConfigError("kernels: dimension %d not supported" % d)
-    for z in z_values:
-        if z >= 0:
-            raise ConfigError("kernels: z = %g must be negative" % z)
-    if not (0 < x_min < x_max):
-        raise ConfigError("kernels: need 0 < x_min < x_max")
-    if points < 2:
-        raise ConfigError("kernels: need at least 2 lattice points")
+    dims = _option(cfg, "kernels", "dims")
+    z_values = _option(cfg, "kernels", "z")
+    x_min = _option(cfg, "kernels", "x_min")
+    x_max = _option(cfg, "kernels", "x_max")
+    points = _option(cfg, "kernels", "points")
+    if not x_min < x_max:
+        raise ConfigError("kernels: need x_min < x_max")
 
     start = time.perf_counter()
     lattice = np.linspace(x_min, x_max, points)
@@ -462,15 +441,12 @@ def cmd_kk_check(args, cfg):
     spec = _system_from(cfg)
     grids = _grid_ladder(cfg, spec.n, "64", "4.0")
     grid = grids[0]
-    z = float(_get(cfg, "kk", "z", "-16.0"))
-    eps = float(_get(cfg, "kk", "eps", "0.25"))
-    probes = int(_get(cfg, "kk", "probes", "10"))
-    tol = float(_get(cfg, "kk", "tol", "1e-10"))
-    threshold = float(_get(cfg, "kk", "tolerance", "1e-6"))
-    _check_spectral_points([z], spec, args.force, "kk")
-    _check_widths([eps], "kk")
-    if probes < 1:
-        raise ConfigError("kk: need at least one probe")
+    z = _option(cfg, "kk", "z")
+    eps = _option(cfg, "kk", "eps")
+    probes = _option(cfg, "kk", "probes")
+    tol = _option(cfg, "kk", "tol")
+    threshold = _option(cfg, "kk", "tolerance")
+    _check_below_threshold([z], spec, args.force, "kk")
 
     start = time.perf_counter()
     direct = resolventmod.DirectAssembly(grid, spec, z, eps, tol=tol)
@@ -509,9 +485,7 @@ def cmd_forms(args, cfg):
     spec = _system_from(cfg)
     grids = _grid_ladder(cfg, spec.n, "64", "12.8")
     grid = grids[0]
-    count = int(_get(cfg, "forms", "count", "25"))
-    if count < 1:
-        raise ConfigError("forms: count must be positive")
+    count = _option(cfg, "forms", "count")
 
     start = time.perf_counter()
     rng = np.random.default_rng(args.seed)
@@ -651,22 +625,14 @@ def main(argv=None):
         cfg = load_config(args.config)
         with _thread_cap(args):
             return handler(args, cfg)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    except AboveThreshold as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    except (UnresolvedBump, PotentialOverflowsBox) as exc:
+    except (ConfigError, AboveThreshold, UnresolvedBump,
+            PotentialOverflowsBox) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except (NoConvergence, SeriesDiverging, ShiftTooCloseToSpectrum) as exc:
         print("solver error: %s" % exc, file=sys.stderr)
         return 3
-    except DeltaResolventError as exc:
-        print("internal error: %s" % exc, file=sys.stderr)
-        return 1
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except (DeltaResolventError, ValueError, np.linalg.LinAlgError) as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return 1
 

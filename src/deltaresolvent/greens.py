@@ -12,104 +12,17 @@ Closed forms, with kappa = sqrt(-z):
     d = 3:  exp(-kappa*x) / (4*pi*x)
     d = 4:  kappa * K1(kappa*x) / (4*pi^2*x)
 
-The modified Bessel function K1 is implemented in-module (ascending
-series below x = 9, asymptotic expansion above) so the closed form does
-not silently depend on library special functions; tests compare it
-against scipy.
+K1 comes from scipy.special; the heat-kernel quadrature is the
+independent check on the d = 4 closed form.
 """
 
 import math
 
 import numpy as np
+import scipy.special
 from scipy.integrate import quad
 
 from .errors import SingularAtOrigin
-
-_EULER_GAMMA = 0.5772156649015329
-
-# Number of terms that drives both ascending series well past double
-# precision for arguments below the switch point.
-_SERIES_TERMS = 40
-
-# Crossover where the ascending-series cancellation error and the
-# truncated-asymptotic error are both at their joint minimum (~4e-9).
-_SWITCH = 8.55
-
-
-def bessel_i1(x):
-    """Modified Bessel function I1 by its ascending series.
-
-    Converges for all x, but is only used below the K1 switch point
-    where no cancellation occurs (all terms positive).
-    """
-    x = np.asarray(x, dtype=float)
-    half = x / 2.0
-    q = half * half
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, _SERIES_TERMS):
-        term = term * q / (k * (k + 1))
-        total = total + term
-    return half * total
-
-
-def _k1_series(x):
-    # K1(x) = ln(x/2) I1(x) + 1/x
-    #         - (x/4) * sum_k [psi(k+1) + psi(k+2)] / (k! (k+1)!) (x^2/4)^k
-    # with psi(m+1) = -gamma + H_m expressed through harmonic numbers.
-    x = np.asarray(x, dtype=float)
-    q = x * x / 4.0
-    coeff = np.ones_like(x)        # (x^2/4)^k / (k! (k+1)!)
-    harmonic_k = 0.0               # H_k
-    harmonic_k1 = 1.0              # H_{k+1}
-    psi_sum = -2.0 * _EULER_GAMMA + harmonic_k + harmonic_k1
-    total = psi_sum * coeff
-    for k in range(1, _SERIES_TERMS):
-        coeff = coeff * q / (k * (k + 1))
-        harmonic_k += 1.0 / k
-        harmonic_k1 += 1.0 / (k + 1)
-        psi_sum = -2.0 * _EULER_GAMMA + harmonic_k + harmonic_k1
-        total = total + psi_sum * coeff
-    return np.log(x / 2.0) * bessel_i1(x) + 1.0 / x - (x / 4.0) * total
-
-
-def _k1_asymptotic(x):
-    # K1(x) ~ sqrt(pi/(2x)) e^{-x} sum_k t_k,
-    # t_0 = 1, t_k = t_{k-1} * (4 - (2k-1)^2) / (8 x k).
-    # The series is divergent; summation stops at the smallest term.
-    x = np.asarray(x, dtype=float)
-    t = np.ones_like(x)
-    total = np.ones_like(x)
-    frozen = np.zeros(x.shape, dtype=bool)
-    for k in range(1, 60):
-        t_next = t * (4.0 - (2 * k - 1) ** 2) / (8.0 * x * k)
-        grow = np.abs(t_next) >= np.abs(t)
-        frozen = frozen | grow
-        total = np.where(frozen, total, total + t_next)
-        t = t_next
-        if np.all(frozen) or np.all(np.abs(t) < 1e-17):
-            break
-    return np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) * total
-
-
-def bessel_k1(x):
-    """Modified Bessel function K1 for positive real arguments.
-
-    Vectorized; raises ValueError at non-positive arguments (K1 blows
-    up like 1/x at zero and is not real for x < 0).
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("bessel_k1 requires strictly positive arguments")
-    out = np.empty_like(arr)
-    low = arr < _SWITCH
-    if np.any(low):
-        out[low] = _k1_series(arr[low])
-    if np.any(~low):
-        out[~low] = _k1_asymptotic(arr[~low])
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
 
 
 def greens_closed(dim, z, x):
@@ -135,13 +48,13 @@ def greens_closed(dim, z, x):
     elif dim == 4:
         if np.any(arr == 0.0):
             raise SingularAtOrigin("4-d kernel diverges at zero separation")
-        out = kappa * bessel_k1(kappa * arr) / (4.0 * math.pi ** 2 * arr)
+        out = kappa * scipy.special.k1(kappa * arr) / (4.0 * math.pi ** 2 * arr)
     else:
         raise ValueError("closed form implemented for dim in (1, 3, 4)")
     return float(out) if scalar else out
 
 
-def greens_quadrature(dim, z, x, abs_tol=1e-12):
+def greens_quadrature(dim, z, x):
     """Heat-kernel representation of the same kernel, any dimension.
 
     Integrates (4 pi t)^(-d/2) exp(-x^2/(4t) + z t) over t in (0, inf)
@@ -181,6 +94,6 @@ def greens_quadrature(dim, z, x, abs_tol=1e-12):
             return 0.0
         return math.exp(log_val)
 
-    value, estimate = quad(integrand, -40.0, 40.0, epsabs=abs_tol,
+    value, estimate = quad(integrand, -40.0, 40.0, epsabs=1e-12,
                            epsrel=1e-12, limit=400)
     return value

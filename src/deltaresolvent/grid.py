@@ -20,6 +20,9 @@ DENSE_LIMIT = 4096
 # Chunk budget (bytes) for the frame-change gather buffers.
 _CHUNK_BYTES = 1 << 25
 
+# Restart cycles a shifted GMRES solve may take before it raises.
+_GMRES_MAXITER = 300
+
 
 class Grid:
     """Uniform periodic grid: N points per axis on a box of side L.
@@ -62,9 +65,6 @@ class Grid:
     def inner(self, a, b):
         """L2 inner product (conjugate-linear in the first slot)."""
         return self.weight * complex(np.vdot(a, b))
-
-    def with_ndim(self, ndim):
-        return Grid(self.npoints, self.box, ndim)
 
     def __repr__(self):
         return "Grid(npoints=%d, box=%g, ndim=%d)" % (self.npoints, self.box, self.ndim)
@@ -134,24 +134,10 @@ def to_momentum(grid, field, axes=None):
     return out
 
 
-def from_momentum(grid, field, axes=None):
-    if axes is None:
-        axes = tuple(range(grid.ndim))
-    sign = _alternating(grid.npoints)
-    scale = np.sqrt(2 * np.pi) / grid.h
-    out = field
-    for ax in axes:
-        shape = [1] * out.ndim
-        shape[ax] = grid.npoints
-        out = out * sign.reshape(shape)
-        out = out * scale
-    return scipy.fft.ifftn(out, axes=axes)
-
-
-def random_band_limited(grid, rng, ndim=None, cutoff=1.0 / 3.0, batch=()):
-    """Random smooth field: Gaussian momentum data under a soft spectral cutoff."""
-    if ndim is None:
-        ndim = grid.ndim
+def random_band_limited(grid, rng, batch=()):
+    """Random smooth field: Gaussian momentum data under a soft spectral cutoff
+    at a third of the largest wavenumber."""
+    ndim = grid.ndim
     shape = (grid.npoints,) * ndim + tuple(batch)
     coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     pmax = np.max(np.abs(grid.p))
@@ -159,7 +145,7 @@ def random_band_limited(grid, rng, ndim=None, cutoff=1.0 / 3.0, batch=()):
     for ax in range(ndim):
         sh = [1] * len(shape)
         sh[ax] = grid.npoints
-        window = np.exp(-((np.abs(grid.p) / (cutoff * pmax)) ** 8))
+        window = np.exp(-((np.abs(grid.p) / ((1.0 / 3.0) * pmax)) ** 8))
         damp = damp * window.reshape(sh)
     field = scipy.fft.ifftn(coef * damp, axes=tuple(range(ndim)))
     flat = field.reshape((-1,) + tuple(batch))
@@ -315,7 +301,7 @@ def minimum_image_separation(grid):
     return d * grid.h
 
 
-def shifted_solver(ham, z, tol=1e-10, maxiter=300):
+def shifted_solver(ham, z, tol=1e-10):
     """Handle applying (H_eps - z)^{-1}, with all set-up done once here.
 
     Small grids factor the dense shifted matrix once by LU (a real one for
@@ -361,10 +347,11 @@ def shifted_solver(ham, z, tol=1e-10, maxiter=300):
             cols = []
             for rhs in flat.T:
                 sol, info = scipy.sparse.linalg.gmres(op, rhs, rtol=tol, atol=0.0,
-                                                      maxiter=maxiter, M=pre, restart=60)
+                                                      maxiter=_GMRES_MAXITER, M=pre,
+                                                      restart=60)
                 if info != 0:
                     resid = np.linalg.norm(shifted(sol) - rhs) / np.linalg.norm(rhs)
-                    raise NoConvergence(maxiter if info < 0 else info, resid,
+                    raise NoConvergence(_GMRES_MAXITER if info < 0 else info, resid,
                                         "shifted GMRES solve")
                 cols.append(sol)
             return np.stack(cols, axis=1)

@@ -28,9 +28,9 @@ import scipy.optimize
 from . import forms as formsmod
 from . import grid as gridmod
 from . import system as sysmod
-from .blocks import (ChannelSystem, LambdaMatrix, channel_norm,
+from .blocks import (MAX_TERMS, ChannelSystem, LambdaMatrix, channel_norm,
                      invert_lambda, pair_class_multiplier)
-from .bump import DEFAULT_PROFILE, build_hamiltonian
+from .bump import build_hamiltonian
 from .errors import ConfigError, NoConvergence
 
 
@@ -44,7 +44,7 @@ class DirectAssembly:
 
     mode = "direct"
 
-    def __init__(self, grid, spec, z, eps, profile=DEFAULT_PROFILE, tol=1e-10):
+    def __init__(self, grid, spec, z, eps, tol=1e-10):
         z = complex(z)
         if z.imag == 0.0:
             if z.real >= 0.0:
@@ -55,7 +55,7 @@ class DirectAssembly:
         self.z = z
         self.eps = float(eps)
         self.tol = float(tol)
-        self.ham = build_hamiltonian(grid, spec, eps, profile)
+        self.ham = build_hamiltonian(grid, spec, eps)
         self._solve = gridmod.shifted_solver(self.ham, z, tol=self.tol)
 
     def apply(self, field):
@@ -73,20 +73,19 @@ class FactoredAssembly:
     zero-width (hyperplane) ones and the assembly is the limit operator.
     """
 
-    def __init__(self, grid, spec, z, eps=None, profile=DEFAULT_PROFILE,
-                 tol=1e-10, force_chain=False, max_terms=200, force=False):
-        self.system = LambdaMatrix(grid, spec, z, eps, profile, force_chain)
+    def __init__(self, grid, spec, z, eps=None, tol=1e-10, force_chain=False,
+                 force=False):
+        self.system = LambdaMatrix(grid, spec, z, eps, force_chain)
         self.grid = grid
         self.spec = spec
         self.z = float(z)
         self.eps = None if eps is None else float(eps)
         self.tol = float(tol)
-        self.max_terms = int(max_terms)
         self.force = bool(force)
         self.mode = "limit" if eps is None else "kk"
 
     def apply(self, field):
-        return self.system.resolve(field, self.tol, self.max_terms, self.force)
+        return self.system.resolve(field, self.tol, self.force)
 
     __call__ = apply
 
@@ -103,11 +102,10 @@ class TraceAssembly(ChannelSystem):
 
     mode = "theta"
 
-    def __init__(self, grid, spec, z, tol=1e-10, max_terms=200, force=False):
+    def __init__(self, grid, spec, z, tol=1e-10, force=False):
         super().__init__(grid, spec, z)
         self.eps = None
         self.tol = float(tol)
-        self.max_terms = int(max_terms)
         self.force = bool(force)
         self.multipliers = [pair_class_multiplier(grid, spec, p, self.z)
                             for p in self.pairs]
@@ -136,9 +134,8 @@ class TraceAssembly(ChannelSystem):
         return [self._per_class(f, 1.0 / (1.0 - g * m))
                 for f, m in zip(fields, self.multipliers)]
 
-    def solve_channels(self, fields, tol, max_terms, force):
-        solution = invert_lambda(self, fields, tol=tol, max_terms=max_terms,
-                                 force=force)
+    def solve_channels(self, fields, tol, force):
+        solution = invert_lambda(self, fields, tol=tol, force=force)
         if len(self.pairs) > 1:
             back = self.channel_apply(solution)
             den = channel_norm(fields)
@@ -146,7 +143,7 @@ class TraceAssembly(ChannelSystem):
                      if den > 0.0 else 0.0)
             self.last_residual = resid
             if resid > 100.0 * tol:
-                raise NoConvergence(max_terms, resid, "trace channel inversion")
+                raise NoConvergence(MAX_TERMS, resid, "trace channel inversion")
         return solution
 
     def symmetry_defect(self, rng=None, trials=8):
@@ -171,7 +168,7 @@ class TraceAssembly(ChannelSystem):
         return worst
 
     def apply(self, field):
-        return self.resolve(field, self.tol, self.max_terms, self.force)
+        return self.resolve(field, self.tol, self.force)
 
     __call__ = apply
 
@@ -187,8 +184,8 @@ _MODE_ALIASES = {
 }
 
 
-def assemble(grid, spec, z, mode, eps=None, tol=1e-10,
-             profile=DEFAULT_PROFILE, force_chain=False, force=False):
+def assemble(grid, spec, z, mode, eps=None, tol=1e-10, force_chain=False,
+             force=False):
     """Build one resolvent assembly by mode name.
 
     ``direct`` and ``kk`` need a positive width; ``limit`` and ``theta``
@@ -204,14 +201,13 @@ def assemble(grid, spec, z, mode, eps=None, tol=1e-10,
         if eps is None:
             raise ConfigError("mode %r requires a positive width" % mode)
         if key == "direct":
-            return DirectAssembly(grid, spec, z, eps, profile=profile, tol=tol)
-        return FactoredAssembly(grid, spec, z, eps, profile=profile, tol=tol,
+            return DirectAssembly(grid, spec, z, eps, tol=tol)
+        return FactoredAssembly(grid, spec, z, eps, tol=tol,
                                 force_chain=force_chain, force=force)
     if eps is not None:
         raise ConfigError("mode %r does not take a width" % mode)
     if key == "limit":
-        return FactoredAssembly(grid, spec, z, None, profile=profile,
-                                tol=tol, force=force)
+        return FactoredAssembly(grid, spec, z, None, tol=tol, force=force)
     return TraceAssembly(grid, spec, z, tol=tol, force=force)
 
 
@@ -255,8 +251,7 @@ def _as_list(value):
 
 
 def convergence_sweep(spec, z_values, eps_values, grids, rng=None,
-                      iters=40, restarts=3, tol=1e-10,
-                      profile=DEFAULT_PROFILE, force_chain=False):
+                      iters=40, restarts=3, tol=1e-10, force_chain=False):
     """Operator-norm distances between width-eps and limit resolvents.
 
     For every grid level and spectral point, measures
@@ -275,13 +270,12 @@ def convergence_sweep(spec, z_values, eps_values, grids, rng=None,
     orders = {}
     for level, grid in enumerate(grids):
         for z in z_values:
-            limit = FactoredAssembly(grid, spec, z, None, profile=profile,
-                                     tol=tol)
+            limit = FactoredAssembly(grid, spec, z, None, tol=tol)
             dists = []
             for eps in eps_values:
                 stream = rng.spawn(1)[0]
-                asm = FactoredAssembly(grid, spec, z, eps, profile=profile,
-                                       tol=tol, force_chain=force_chain)
+                asm = FactoredAssembly(grid, spec, z, eps, tol=tol,
+                                       force_chain=force_chain)
 
                 def difference(f):
                     return asm.apply(f) - limit.apply(f)
@@ -309,7 +303,7 @@ def convergence_sweep(spec, z_values, eps_values, grids, rng=None,
 # ---------------------------------------------------------------------------
 
 
-def pole_scan(grid, spec, bracket, xtol=1e-12):
+def pole_scan(grid, spec, bracket):
     """Locate the z where the two-particle channel matrix turns singular.
 
     For one pair the channel matrix is the multiplier 1 - g D(z) over
@@ -326,19 +320,18 @@ def pole_scan(grid, spec, bracket, xtol=1e-12):
         return float(np.min(1.0 - spec.g * np.real(mult)))
 
     lo, hi = float(bracket[0]), float(bracket[1])
-    return float(scipy.optimize.brentq(smallest, lo, hi, xtol=xtol))
+    return float(scipy.optimize.brentq(smallest, lo, hi, xtol=1e-12))
 
 
-def ground_energy(grid, spec, eps, shift=-2.0, steps=80, tol=1e-9,
-                  rng=None, profile=DEFAULT_PROFILE, solver_tol=1e-10):
+def ground_energy(grid, spec, eps, shift=-2.0, steps=80, tol=1e-9, rng=None):
     """Lowest eigenvalue of the width-eps Hamiltonian.
 
     Shift-inverted Lanczos around ``shift``, which must sit strictly
     below the ground state; the inner shifted systems go through the
     dense or preconditioned-iterative solver depending on grid size.
     """
-    ham = build_hamiltonian(grid, spec, eps, profile)
-    solve = gridmod.shifted_solver(ham, shift, tol=solver_tol)
+    ham = build_hamiltonian(grid, spec, eps)
+    solve = gridmod.shifted_solver(ham, shift)
     eigs = gridmod.lowest_eigenvalues(
         lambda vec: ham.apply(vec.reshape(grid.shape)).reshape(-1),
         lambda vec: solve(vec.reshape(grid.shape)).reshape(-1),

@@ -1,4 +1,4 @@
-"""System description: particles, interacting pairs, frame transforms, thresholds.
+"""System description: particles, interacting pairs, frame weights, thresholds.
 
 Positions are one-dimensional and natural units (hbar = 1) are used
 throughout, so the free generator is sum_i -(1/2 m_i) d^2/dx_i^2 and each
@@ -67,39 +67,6 @@ def enumerate_pairs(spec):
 def spectator_indices(spec, pair):
     """1-based indices of the particles not in ``pair``, in ascending order."""
     return [k for k in range(1, spec.n + 1) if k != pair.i and k != pair.j]
-
-
-def to_pair_frame(x, spec, pair):
-    """Map positions (x_1 .. x_n) to (r, R, spectators) for one pair.
-
-    r = x_i - x_j, R is the pair's centre of mass, and the remaining
-    coordinates are passed through unchanged in index order.
-    """
-    if len(x) != spec.n:
-        raise ValueError("position vector has length %d, expected %d" % (len(x), spec.n))
-    mi = spec.masses[pair.i - 1]
-    mj = spec.masses[pair.j - 1]
-    xi = x[pair.i - 1]
-    xj = x[pair.j - 1]
-    r = xi - xj
-    com = (mi * xi + mj * xj) / (mi + mj)
-    rest = [x[k - 1] for k in spectator_indices(spec, pair)]
-    return r, com, rest
-
-
-def from_pair_frame(r, com, rest, spec, pair):
-    """Inverse of :func:`to_pair_frame`; returns the lab positions as a list."""
-    mi = spec.masses[pair.i - 1]
-    mj = spec.masses[pair.j - 1]
-    total = mi + mj
-    xi = com + (mj / total) * r
-    xj = com - (mi / total) * r
-    out = [None] * spec.n
-    out[pair.i - 1] = xi
-    out[pair.j - 1] = xj
-    for k, val in zip(spectator_indices(spec, pair), rest):
-        out[k - 1] = val
-    return out
 
 
 def frame_weights(spec, pair):

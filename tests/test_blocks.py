@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from deltaresolvent.blocks import (DiagonalBlock, LambdaMatrix,
-                                   OffDiagonalBlock, analytic_multiplier,
-                                   invert_lambda, pair_class_multiplier,
-                                   reduced_kinetic, verify_block_convergence)
+                                   OffDiagonalBlock, invert_lambda,
+                                   pair_class_multiplier,
+                                   verify_block_convergence)
+from deltaresolvent.bump import DEFAULT_PROFILE
 from deltaresolvent.errors import (AboveThreshold, SameBlockRequested,
                                    SeriesDiverging)
 from deltaresolvent.forms import apply_trace, trace_adjoint
@@ -26,26 +27,6 @@ def random_channels(lam, rng):
         shape = shape[1:]
     return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             for _ in lam.pairs]
-
-
-def test_analytic_multiplier_closed_value():
-    # mu = 1/2, z = -4, zero reduced kinetic offset: sqrt(mu/2)/sqrt(-z) = 1/4
-    grid = Grid(64, 12.8, 2)
-    mult = analytic_multiplier(grid, SPEC2, PAIR2, -4.0)
-    assert mult[0] == pytest.approx(0.25, rel=1e-14)
-    assert np.all(mult <= 0.25 + 1e-15)
-    assert np.all(mult > 0.0)
-
-
-def test_reduced_kinetic_layout():
-    spec = SystemSpec(masses=(1.0, 2.0, 4.0), g=1.0)
-    pair = enumerate_pairs(spec)[0]  # (1,2): com mass 3, spectator mass 4
-    grid = Grid(16, 3.2, 3)
-    q = reduced_kinetic(grid, spec, pair)
-    assert q.shape == (16, 16)
-    assert q[0, 0] == 0.0
-    assert q[3, 0] == pytest.approx(grid.p[3] ** 2 / 6.0)
-    assert q[0, 5] == pytest.approx(grid.p[5] ** 2 / 8.0)
 
 
 def test_class_multiplier_is_exact_grid_identity():
@@ -91,8 +72,6 @@ def test_multiplier_guards():
     grid = Grid(16, 3.2, 2)
     with pytest.raises(ValueError):
         pair_class_multiplier(grid, SPEC2, PAIR2, 1.0)
-    with pytest.raises(ValueError):
-        analytic_multiplier(grid, SPEC2, PAIR2, 0.0)
 
 
 def test_diagonal_block_norm_under_claimed_bound():
@@ -161,7 +140,7 @@ def test_offdiagonal_shared_block_norm_against_claim():
     blk = OffDiagonalBlock(grid, spec, pairs[0], pairs[1], -25.0)
     assert blk.kind == "shared"
     assert blk.transverse_dim() == 3
-    norm = blk.norm(rng=np.random.default_rng(2))
+    norm = blk.norm()
     assert 0.0 < norm <= blk.claimed_bound()
     # the explicit lattice only exists for the smallest geometry
     spec4 = SystemSpec(masses=(1.0,) * 4, g=1.0)
@@ -171,14 +150,28 @@ def test_offdiagonal_shared_block_norm_against_claim():
         shared4.kernel_matrix()
 
 
+def test_offdiagonal_norm_is_the_exact_matrix_norm():
+    """norm() is the spectral norm of the kernel times the window's mass.
+
+    Unequal masses make the shared-particle kernel non-symmetric.
+    """
+    spec = SystemSpec(masses=(1.0, 2.0, 0.5), g=1.0)
+    pairs = enumerate_pairs(spec)
+    grid = Grid(16, 3.2, 1)
+    blk = OffDiagonalBlock(grid, spec, pairs[0], pairs[1], -25.0)
+    mat = blk.kernel_matrix()
+    assert np.max(np.abs(mat - mat.T)) > 1e-3 * np.max(np.abs(mat))
+    vnorm = grid.h * float(np.sum(DEFAULT_PROFILE.value(grid.x) ** 2))
+    exact = np.linalg.norm(mat, 2) * vnorm
+    assert abs(blk.norm() - exact) <= 1e-12 * exact
+
+
 def test_offdiagonal_norm_scales_like_inverse_sqrt_z():
     spec = SystemSpec(masses=(1.0, 1.0, 1.0), g=1.0)
     pairs = enumerate_pairs(spec)
     grid = Grid(16, 3.2, 1)
-    n1 = OffDiagonalBlock(grid, spec, pairs[0], pairs[2], -16.0).norm(
-        rng=np.random.default_rng(3))
-    n2 = OffDiagonalBlock(grid, spec, pairs[0], pairs[2], -64.0).norm(
-        rng=np.random.default_rng(3))
+    n1 = OffDiagonalBlock(grid, spec, pairs[0], pairs[2], -16.0).norm()
+    n2 = OffDiagonalBlock(grid, spec, pairs[0], pairs[2], -64.0).norm()
     # bound scales as |z|^(-1/2); the measured kernel decays at least that fast
     assert n2 < n1 / 1.8
 

@@ -273,6 +273,26 @@ def test_thread_count_leaves_csv_bodies_unchanged(tmp_path, command):
             == (two / (command + ".csv")).read_bytes())
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("converge", "converge", "iters", "twelve"),
+    ("converge", "converge", "iters", "0"),
+    ("converge", "converge", "restarts", "0"),
+    ("converge", "converge", "tol", "-1"),
+    ("kk-check", "kk", "z", "minus"),
+    ("kk-check", "kk", "tolerance", "-1"),
+    ("forms", "forms", "count", "2.5"),
+    ("spectrum", "spectrum", "steps", "0"),
+    ("spectrum", "spectrum", "tol", "-1"),
+])
+def test_bad_value_is_a_config_error_naming_its_key(tmp_path, capsys, command,
+                                                    section, key, value):
+    cfg = write_config(tmp_path, "[%s]\n%s = %s\n" % (section, key, value))
+    out = tmp_path / "r"
+    assert run(command, "--config", cfg, "--out", str(out)) == 2
+    assert "%s %s" % (section, key) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_grid_size_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "[grid]\nnpoints = 4\n")
     assert run("forms", "--config", cfg,

@@ -68,7 +68,7 @@ def test_diagonal_gather_matches_pair_frame_row(spec):
 def test_trace_adjoint_pairing():
     grid = Grid(16, 3.2, 3)
     rng = np.random.default_rng(0)
-    reduced_grid = grid.with_ndim(2)
+    reduced_grid = Grid(16, 3.2, 2)
     for pair in enumerate_pairs(SPEC3):
         for _ in range(4):
             f = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)

@@ -5,43 +5,13 @@ import pytest
 import scipy.special
 
 from deltaresolvent.errors import SingularAtOrigin
-from deltaresolvent.greens import (bessel_i1, bessel_k1, greens_closed,
-                                   greens_quadrature)
+from deltaresolvent.greens import greens_closed, greens_quadrature
 
 # frozen reference values
-K1_AT_ONE = 0.6019072301972346
 D1_AT_TWO = 0.06766764161830635          # e^-2 / 2  (z = -1)
 D3_AT_ONE = 0.029274915762159584         # e^-1 / (4 pi)
 D4_AT_ONE = 0.015246488251616222         # K1(1) / (4 pi^2)
 D2_AT_HALF = 0.14712586467430186         # quadrature-only dimension
-
-
-def test_bessel_k1_spot_value():
-    assert bessel_k1(1.0) == pytest.approx(K1_AT_ONE, rel=1e-12)
-
-
-def test_bessel_k1_against_scipy():
-    x = np.concatenate([
-        np.linspace(0.01, 8.0, 173),
-        np.linspace(8.0, 9.2, 61),      # both sides of the series switch
-        np.linspace(9.2, 60.0, 119),
-    ])
-    mine = bessel_k1(x)
-    ref = scipy.special.k1(x)
-    rel = np.abs(mine - ref) / ref
-    assert np.max(rel) < 1e-8
-
-
-def test_bessel_k1_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        bessel_k1(0.0)
-    with pytest.raises(ValueError):
-        bessel_k1(np.array([1.0, -2.0]))
-
-
-def test_bessel_i1_against_scipy():
-    x = np.linspace(0.01, 8.5, 97)
-    assert np.allclose(bessel_i1(x), scipy.special.i1(x), rtol=1e-12)
 
 
 def test_closed_form_values():
