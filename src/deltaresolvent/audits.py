@@ -48,19 +48,6 @@ def _finish(name, inputs, claimed, measured, mc_ci=0.0, detail=None):
                       detail=detail or {})
 
 
-def gaussian_radial_moment(t):
-    """Quadrature value of the radial Gaussian moment ∫_0^∞ r² e^{-r²/2t} dr.
-
-    Closed form (sqrt(pi)/4) (2t)^{3/2}; the quadrature version exists so
-    the inner step of the heat-kernel reduction can be unit-tested.
-    """
-    t = float(t)
-    val, _ = scipy.integrate.quad(
-        lambda r: r * r * math.exp(-r * r / (2.0 * t)),
-        0.0, np.inf, epsabs=1e-14, epsrel=1e-12)
-    return val
-
-
 def schur_row_closed_3d(z, d):
     """Closed form of the reduced 3-d row integral at hyperplane offset d."""
     kappa = math.sqrt(2.0 * abs(z))
@@ -169,9 +156,7 @@ def audit_diagonal_bound(grid, spec, z, eps):
     z = float(z)
     pair = sysmod.enumerate_pairs(spec)[0]
     block = DiagonalBlock(grid, spec, pair, z, eps)
-    offsets = np.linspace(0.0, 4.0 * abs(z), 17)
-    mats = np.stack([block.kernel_matrix(q) for q in offsets])
-    eigs = np.linalg.eigvalsh(mats)
+    eigs = block.fiber_eigenvalues()
     measured = float(np.max(np.abs(eigs)))
     claimed = block.claimed_bound()
     inverse_measured = float(np.max(1.0 / np.min(np.abs(1.0 - eigs), axis=1)))

@@ -19,11 +19,11 @@ with R0 the free resolvent.  This module provides
     free-space kernel, for norm measurements against K |g| / sqrt(|z|);
   * ChannelSystem: what every channel route shares -- threshold and
     Neumann bookkeeping, the channel applications and the resolvent
-    formula -- around subclass hooks for the channel map itself;
-  * LambdaMatrix / invert_lambda: the coupling-map channel system, its
-    diagonal blocks factored once per momentum slice, and the guarded
-    inversion with a tail-bounded outer iteration for the off-diagonal
-    part.
+    itself -- around subclass hooks for the channel map;
+  * LambdaMatrix / invert_lambda: the coupling-map channel system (the
+    resolvent of the kk and limit routes), its diagonal blocks factored
+    once per momentum slice, and the guarded inversion with a
+    tail-bounded outer iteration for the off-diagonal part.
 
 Reduced coordinate order is fixed everywhere as (pair center of mass,
 then spectators by ascending particle label); it is what the frame
@@ -146,16 +146,18 @@ class DiagonalBlock:
             outer = outer * np.exp(-decay * np.abs(self.r[:, None] - self.r[None, :]))
         return pref * outer * self.grid.h
 
-    def norm(self):
-        """Largest fiber operator norm over a lattice of kinetic offsets.
+    def fiber_eigenvalues(self):
+        """Kernel eigenvalues, one row per kinetic offset of a 17-point lattice.
 
         The kernel norm decreases with the offset, so the lattice starts
         at q = 0 where the supremum is attained.
         """
         offsets = np.linspace(0.0, 4.0 * abs(self.z), 17)
-        mats = np.stack([self.kernel_matrix(q) for q in offsets])
-        eigs = np.linalg.eigvalsh(mats)
-        return float(np.max(np.abs(eigs)))
+        return np.linalg.eigvalsh(np.stack([self.kernel_matrix(q) for q in offsets]))
+
+    def norm(self):
+        """Largest fiber operator norm over the offset lattice."""
+        return float(np.max(np.abs(self.fiber_eigenvalues())))
 
     def claimed_bound(self):
         """The a priori norm bound sqrt(mu/2) |g| / sqrt(|z|)."""
@@ -211,17 +213,14 @@ def _bulk_kernel_3d(kappa, rho):
 
 
 def _bulk_kernel_4d(kappa, rho):
-    out = np.zeros_like(rho)
-    flat_rho = rho.reshape(-1)
-    flat_out = out.reshape(-1)
-    for lo in range(0, flat_rho.size, _K1_CHUNK):
-        piece = flat_rho[lo:lo + _K1_CHUNK]
+    """The 4-d kernel, written over ``rho`` chunk by chunk (zero stays zero)."""
+    flat = rho.reshape(-1)
+    for lo in range(0, flat.size, _K1_CHUNK):
+        piece = flat[lo:lo + _K1_CHUNK]
         good = piece > 0.0
-        vals = np.zeros_like(piece)
-        arg = kappa * piece[good]
-        vals[good] = kappa * scipy.special.k1(arg) / (4.0 * math.pi ** 2 * piece[good])
-        flat_out[lo:lo + _K1_CHUNK] = vals
-    return out
+        r = piece[good]
+        piece[good] = kappa * scipy.special.k1(kappa * r) / (4.0 * math.pi ** 2 * r)
+    return rho
 
 
 class OffDiagonalBlock:
@@ -273,9 +272,6 @@ class OffDiagonalBlock:
                 * m[self.nu.i - 1] * m[self.nu.j - 1])
         return -4.0 * g * math.sqrt(prod)
 
-    def transverse_dim(self):
-        return 3 if self.kind == "shared" else 4
-
     def kernel_matrix(self):
         """Materialize the reduced-to-reduced kernel with quadrature weights.
 
@@ -302,8 +298,7 @@ class OffDiagonalBlock:
             sq = 2.0 * ms * (R - Rp) ** 2
             sq = sq + 2.0 * ma * (R - xa) ** 2
             sq = sq + 2.0 * mb * (xb - Rp) ** 2
-            rho = np.sqrt(sq)
-            ker = _bulk_kernel_3d(kappa, rho)
+            bulk = _bulk_kernel_3d
             size = self.grid.npoints ** 2
         else:
             mi = m[self.sigma.i - 1]
@@ -322,11 +317,11 @@ class OffDiagonalBlock:
             sq = sq + 2.0 * mj * (R - xj) ** 2
             sq = sq + 2.0 * mk * (xk - Rp) ** 2
             sq = sq + 2.0 * ml * (xl - Rp) ** 2
-            rho = np.sqrt(sq)
-            ker = _bulk_kernel_4d(kappa, rho)
+            bulk = _bulk_kernel_4d
             size = N ** 3
-        weight = self.grid.h ** (n - 1)
-        return (self.coupling_constant() * weight) * ker.reshape(size, size)
+        ker = bulk(kappa, np.sqrt(sq, out=sq))
+        ker *= self.coupling_constant() * self.grid.h ** (n - 1)
+        return ker.reshape(size, size)
 
     def norm(self):
         """Exact operator norm of the materialized kernel, with the profile factor.
@@ -337,7 +332,12 @@ class OffDiagonalBlock:
         """
         mat = self.kernel_matrix()
         size = mat.shape[1]
-        top = scipy.linalg.eigvalsh(mat.T @ mat, subset_by_index=[size - 1, size - 1])
+        # M^T M is formed exactly symmetric, so its transpose is the same
+        # matrix in the Fortran order LAPACK factors in place.
+        gram = (mat.T @ mat).T
+        del mat
+        top = scipy.linalg.eigvalsh(gram, subset_by_index=[size - 1, size - 1],
+                                    overwrite_a=True)
         window = DEFAULT_PROFILE.value(self.grid.x)
         vnorm = self.grid.h * float(np.sum(window ** 2))
         return math.sqrt(max(float(top[0]), 0.0)) * vnorm
@@ -392,8 +392,9 @@ class ChannelSystem:
     Holds what every channel route shares: the guarded spectral
     parameter, the pairs, the free resolvent R0, the a priori threshold
     and Neumann bookkeeping, the channel applications, and the resolvent
-    formula R0 + g R0 T* (1 - g T R0 T*)^{-1} T R0.  A subclass supplies
-    its own arithmetic for T through four hooks:
+    itself: ``apply`` is R0 + g R0 T* (1 - g T R0 T*)^{-1} T R0, inverted
+    to ``tol`` (``force`` unlocks z above the threshold).  A subclass
+    supplies its own arithmetic for T through four hooks:
 
       lift(k, f)               T_k f, a lab field to channel k;
       drop(k, chi)             T_k* chi, channel k back to a lab field;
@@ -401,13 +402,15 @@ class ChannelSystem:
       apply_diag_inverse(fs)   exact inverse of the same-pair blocks.
     """
 
-    def __init__(self, grid, spec, z):
+    def __init__(self, grid, spec, z, tol, force):
         z = float(z)
         if z >= 0:
             raise ValueError("channel system requires a real negative z")
         self.grid = grid
         self.spec = spec
         self.z = z
+        self.tol = float(tol)
+        self.force = bool(force)
         self.pairs = sysmod.enumerate_pairs(spec)
         self.rfree = gridmod.free_resolvent(grid, spec.masses, z)
         self.constants = sysmod.bound_constants(spec)
@@ -459,25 +462,28 @@ class ChannelSystem:
 
     # -- the resolvent --------------------------------------------------------
 
-    def solve_channels(self, fields, tol, force):
+    def solve_channels(self, fields):
         """Solve (1 - g T R0 T*) x = fields by the guarded Neumann iteration."""
-        return invert_lambda(self, fields, tol=tol, force=force)
+        return invert_lambda(self, fields, tol=self.tol, force=self.force)
 
-    def resolve(self, field, tol, force):
+    def apply(self, field):
         """(H - z)^{-1} field as R0 f + g R0 T* (1 - g T R0 T*)^{-1} T R0 f."""
         u0 = self.rfree(np.asarray(field, dtype=complex))
         channels = [self.lift(k, u0) for k in range(len(self.pairs))]
-        sol = self.solve_channels(channels, tol, force)
+        sol = self.solve_channels(channels)
         return u0 + self.spec.g * self.smoothed(sol)
+
+    __call__ = apply
 
 
 class LambdaMatrix(ChannelSystem):
-    """The coupled channel system 1 - g A R0 A* at one spectral parameter.
+    """The coupled channel system 1 - g A R0 A*: the kk and limit resolvent.
 
-    Holds one coupling map per pair (limit maps for eps=None, sheared or
-    narrow-width maps otherwise) and applies the cross-pair coupling
-    through lab space, so a full application costs one free-resolvent
-    solve regardless of the number of pairs.  Each same-pair block is
+    Holds one coupling map per pair: limit maps for eps=None (``mode``
+    "limit", the contact operator's resolvent), sheared or narrow-width
+    maps otherwise (``mode`` "kk").  The cross-pair coupling goes through
+    lab space, so a full application costs one free-resolvent solve
+    regardless of the number of pairs.  Each same-pair block is
     factored once, at first use, as U diag(lam) U* per reduced-momentum
     slice on the coupling support: in closed form for the limit maps
     (rank one, the unit window column times the class multiplier) and by
@@ -485,9 +491,11 @@ class LambdaMatrix(ChannelSystem):
     The block and its inverse are then slice-wise multiplications.
     """
 
-    def __init__(self, grid, spec, z, eps=None, force_chain=False):
-        super().__init__(grid, spec, z)
+    def __init__(self, grid, spec, z, eps=None, tol=1e-10, force_chain=False,
+                 force=False):
+        super().__init__(grid, spec, z, tol, force)
         self.eps = None if eps is None else float(eps)
+        self.mode = "limit" if eps is None else "kk"
         self.maps = [coupling_map(grid, spec, p, eps, force_chain)
                      for p in self.pairs]
         self._diag_cache = None

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.integrate
 
+from . import forms as formsmod
 from . import grid as gridmod
 from . import system as sysmod
 from .errors import PotentialOverflowsBox, UnresolvedBump
@@ -208,8 +209,9 @@ class LimitCouplingMap:
     """The eps -> 0 coupling: profile window tensor hyperplane restriction.
 
     The hyperplane r = 0 holds the grid points where both pair members sit
-    at the same lattice site, so the restriction is the diagonal gather
-    f[k, k, ...] and its adjoint the diagonal scatter.
+    at the same lattice site, so the restriction is the trace's diagonal
+    gather f[k, k, ...] and its adjoint the diagonal scatter, both without
+    the trace adjoint's 1/h.
     """
 
     def __init__(self, grid, spec, pair):
@@ -219,20 +221,14 @@ class LimitCouplingMap:
         self.window = renormalized_samples(grid)
 
     def forward(self, lab_field):
-        f = gridmod.lab_axes_to_front(lab_field, self.spec, self.pair)
-        idx = np.arange(self.grid.npoints)
-        diag = f[idx, idx]
+        diag = formsmod.apply_trace(self.grid, self.spec, self.pair, lab_field)
         w = self.window.reshape((-1,) + (1,) * diag.ndim)
         return w * diag[None]
 
     def adjoint(self, chi_field):
         w = self.window.reshape((-1,) + (1,) * (chi_field.ndim - 1))
-        reduced = np.sum(w * chi_field, axis=0)
-        N = self.grid.npoints
-        embedded = np.zeros((N,) + reduced.shape, dtype=complex)
-        idx = np.arange(N)
-        embedded[idx, idx] = reduced
-        return gridmod.lab_axes_from_front(embedded, self.spec, self.pair)
+        return formsmod.diagonal_scatter(self.grid, self.spec, self.pair,
+                                         np.sum(w * chi_field, axis=0))
 
     def support_indices(self):
         """First-axis indices the coupled fields can live on."""

@@ -11,14 +11,16 @@ forms      trace/form identity residuals on random fields
 
 Configuration is an INI file whose sections and keys are all optional;
 _OPTIONS below holds every key with its default and its check, and the
-README's Configuration section lists them.  A bad value is a config
-error that names its section and key.
+README's Configuration section lists them.  An unknown key or a bad
+value is a config error that names its section and key.
 
-Reports land in --out (or $DELTARESOLVENT_OUT, default ./reports) as
-<command>.csv plus <command>.json; CSV bodies are byte-identical across
-reruns with the same config and seed, while timestamps and wallclock
-live in the JSON.  Exit codes: 0 pass, 1 internal error, 2 config
-error, 3 solver non-convergence, 4 a verified bound or contract FAILED.
+Each command returns a Report; main times it, writes it to --out (or
+$DELTARESOLVENT_OUT, default ./reports) as <command>.csv plus
+<command>.json, and prints its summary.  CSV bodies are byte-identical
+across reruns with the same config and seed, while timestamps and
+wallclock live in the JSON.  Exit codes: 0 pass, 1 internal error, 2
+config error (an unknown key, a bad value, or z not below z0 without
+--force), 3 solver non-convergence, 4 a verified bound or contract FAILED.
 """
 
 import argparse
@@ -29,6 +31,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -149,6 +152,10 @@ def load_config(path):
                 cfg.read_file(fh)
         except configparser.Error as exc:
             raise ConfigError("config parse error: %s" % exc)
+    for section in cfg.sections():
+        for key in cfg[section]:
+            if key not in _OPTIONS.get(section, {}):
+                raise ConfigError("%s %s: unknown key" % (section, key))
     return cfg
 
 
@@ -199,9 +206,9 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _metadata(args, command, wallclock_ms):
+def _metadata(args, wallclock_ms):
     return {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "seed": args.seed,
         "threads": scipy.fft.get_workers(),
@@ -233,18 +240,31 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_report(args, command, wallclock_ms, header, rows, fields):
-    """Write <command>.csv and <command>.json; return the report directory.
+@dataclass
+class Report:
+    """A command's result: <command>.csv (``header``, ``rows``), the JSON
+    ``fields`` beside the metadata, the verdict ``ok`` (exit 0, else 4),
+    the printed ``summary``, and extra CSVs as (name, header, rows)."""
 
-    The JSON payload is the run metadata updated with ``fields``.
-    """
+    header: tuple
+    rows: list
+    fields: dict
+    ok: bool
+    summary: str
+    tables: tuple = ()
+
+
+def _write_report(args, wallclock_ms, report):
+    """Write <command>.csv, <command>.json and the report's extra tables."""
     out = args.out or os.environ.get("DELTARESOLVENT_OUT") or "reports"
     os.makedirs(out, exist_ok=True)
-    _write_csv(os.path.join(out, command + ".csv"), header, rows)
-    payload = _metadata(args, command, wallclock_ms)
-    payload.update(fields)
-    _write_json(os.path.join(out, command + ".json"), payload)
-    return out
+    _write_csv(os.path.join(out, args.command + ".csv"), report.header,
+               report.rows)
+    for name, header, rows in report.tables:
+        _write_csv(os.path.join(out, name), header, rows)
+    payload = _metadata(args, wallclock_ms)
+    payload.update(report.fields)
+    _write_json(os.path.join(out, args.command + ".json"), payload)
 
 
 # ---------------------------------------------------------------------------
@@ -262,38 +282,32 @@ def cmd_converge(args, cfg):
     tol = _option(cfg, "converge", "tol")
     _check_below_threshold(z_values, spec, args.force, "converge")
 
-    start = time.perf_counter()
-    report = resolventmod.convergence_sweep(
+    sweep = resolventmod.convergence_sweep(
         spec, z_values, eps_values, grids,
         rng=np.random.default_rng(args.seed), iters=iters, restarts=restarts,
-        tol=tol)
-    wall = 1000.0 * (time.perf_counter() - start)
-
+        tol=tol, force=args.force)
     rows = [(e.level, e.npoints, e.box, e.z, e.eps, e.distance, e.spread)
-            for e in report.entries]
+            for e in sweep.entries]
     monotone = {}
     for level in range(len(grids)):
         for z in z_values:
-            monotone["%d,%g" % (level, z)] = report.monotone(level, z)
-    _write_report(args, "converge", wall,
-                  ("level", "npoints", "box", "z", "eps", "distance", "spread"),
-                  rows, {
-        "spec": {"masses": list(spec.masses), "g": spec.g},
-        "grid": [{"npoints": g.npoints, "box": g.box} for g in grids],
-        "z": z_values,
-        "eps": eps_values,
-        "mode_pair": ["konno-kuroda", "limit"],
-        "entries": [{
-            "level": e.level, "z": e.z, "eps": e.eps,
-            "distance": e.distance, "iterations": e.iterations,
-            "wallclock_ms": e.wallclock_ms,
-        } for e in report.entries],
-        "orders": {"%d,%g" % k: v for k, v in report.orders.items()},
-        "monotone": monotone,
-    })
+            monotone["%d,%g" % (level, z)] = sweep.monotone(level, z)
     ok = all(monotone.values())
-    print("converge: %d entries, monotone=%s" % (len(report.entries), ok))
-    return 0 if ok else 4
+    return Report(
+        ("level", "npoints", "box", "z", "eps", "distance", "spread"), rows, {
+            "spec": {"masses": list(spec.masses), "g": spec.g},
+            "grid": [{"npoints": g.npoints, "box": g.box} for g in grids],
+            "z": z_values,
+            "eps": eps_values,
+            "mode_pair": ["konno-kuroda", "limit"],
+            "entries": [{
+                "level": e.level, "z": e.z, "eps": e.eps,
+                "distance": e.distance, "iterations": e.iterations,
+                "wallclock_ms": e.wallclock_ms,
+            } for e in sweep.entries],
+            "orders": {"%d,%g" % k: v for k, v in sweep.orders.items()},
+            "monotone": monotone,
+        }, ok, "converge: %d entries, monotone=%s" % (len(sweep.entries), ok))
 
 
 def cmd_spectrum(args, cfg):
@@ -304,7 +318,6 @@ def cmd_spectrum(args, cfg):
     steps = _option(cfg, "spectrum", "steps")
     tol = _option(cfg, "spectrum", "tol")
 
-    start = time.perf_counter()
     rows = []
     table = {}
     for level, grid in enumerate(grids):
@@ -323,7 +336,6 @@ def cmd_spectrum(args, cfg):
             rows.append((level, grid.npoints, grid.box, 0.0, extrapolated,
                          "extrapolated"))
         table[level] = (energies, extrapolated)
-    wall = 1000.0 * (time.perf_counter() - start)
 
     fields = {
         "spec": {"masses": list(spec.masses), "g": spec.g},
@@ -342,16 +354,15 @@ def cmd_spectrum(args, cfg):
         last = table[len(grids) - 1][1]
         if last is not None:
             fields["relative_deviation"] = abs(last - analytic) / abs(analytic)
-    _write_report(args, "spectrum", wall,
-                  ("level", "npoints", "box", "eps", "energy", "note"), rows,
-                  fields)
+    lines = []
     for level, (energies, extrapolated) in table.items():
         msg = ", ".join("E(%g)=%.6f" % (w, e)
                         for w, e in zip(eps_values, energies))
         if extrapolated is not None:
             msg += ", extrapolated=%.6f" % extrapolated
-        print("spectrum level %d: %s" % (level, msg))
-    return 0
+        lines.append("spectrum level %d: %s" % (level, msg))
+    return Report(("level", "npoints", "box", "eps", "energy", "note"), rows,
+                  fields, True, "\n".join(lines))
 
 
 def _default_block_rows():
@@ -380,30 +391,24 @@ def _default_block_rows():
 def cmd_bounds(args, cfg):
     samples = _option(cfg, "bounds", "samples")
 
-    start = time.perf_counter()
     results = auditsmod.run_default_sweep(seed=args.seed, samples=samples)
     block_rows = _default_block_rows()
-    wall = 1000.0 * (time.perf_counter() - start)
-
     rows = [(r.name, json.dumps(r.inputs, sort_keys=True), r.claimed,
              r.measured, r.mc_ci, "PASS" if r.passed else "FAIL")
             for r in results]
     failed = [r for r in results if not r.passed]
-    out = _write_report(
-        args, "bounds", wall,
+    lines = ["bounds: %d audits, %d failed" % (len(results), len(failed))]
+    lines += ["  FAIL %s %s claimed=%.6g measured=%.6g"
+              % (r.name, r.inputs, r.claimed, r.measured) for r in failed]
+    return Report(
         ("name", "inputs", "claimed", "measured", "ci", "verdict"), rows, {
             "samples": samples,
             "audits": len(results),
             "failed": [r.name for r in failed],
             "block_rows": len(block_rows),
-        })
-    _write_csv(os.path.join(out, "blocks.csv"),
-               ("sigma", "nu", "eps", "norm", "bound", "ratio"), block_rows)
-    print("bounds: %d audits, %d failed" % (len(results), len(failed)))
-    for r in failed:
-        print("  FAIL %s %s claimed=%.6g measured=%.6g"
-              % (r.name, r.inputs, r.claimed, r.measured))
-    return 0 if not failed else 4
+        }, not failed, "\n".join(lines),
+        tables=(("blocks.csv", ("sigma", "nu", "eps", "norm", "bound", "ratio"),
+                 block_rows),))
 
 
 def cmd_kernels(args, cfg):
@@ -415,7 +420,6 @@ def cmd_kernels(args, cfg):
     if not x_min < x_max:
         raise ConfigError("kernels: need x_min < x_max")
 
-    start = time.perf_counter()
     lattice = np.linspace(x_min, x_max, points)
     rows = []
     for d in dims:
@@ -428,19 +432,15 @@ def cmd_kernels(args, cfg):
                 rows.append((d, z, float(x),
                              greens.greens_quadrature(d, z, float(x)),
                              "quadrature"))
-    wall = 1000.0 * (time.perf_counter() - start)
-
-    _write_report(args, "kernels", wall, ("d", "z", "x", "value", "method"),
-                  rows, {"dims": dims, "z": z_values,
-                         "lattice": [float(x) for x in lattice]})
-    print("kernels: %d rows" % len(rows))
-    return 0
+    return Report(("d", "z", "x", "value", "method"), rows,
+                  {"dims": dims, "z": z_values,
+                   "lattice": [float(x) for x in lattice]},
+                  True, "kernels: %d rows" % len(rows))
 
 
 def cmd_kk_check(args, cfg):
     spec = _system_from(cfg)
-    grids = _grid_ladder(cfg, spec.n, "64", "4.0")
-    grid = grids[0]
+    grid = _grid_ladder(cfg, spec.n, "64", "4.0")[0]
     z = _option(cfg, "kk", "z")
     eps = _option(cfg, "kk", "eps")
     probes = _option(cfg, "kk", "probes")
@@ -448,10 +448,9 @@ def cmd_kk_check(args, cfg):
     threshold = _option(cfg, "kk", "tolerance")
     _check_below_threshold([z], spec, args.force, "kk")
 
-    start = time.perf_counter()
     direct = resolventmod.DirectAssembly(grid, spec, z, eps, tol=tol)
-    factored = resolventmod.FactoredAssembly(grid, spec, z, eps, tol=tol,
-                                             force=args.force)
+    factored = blocksmod.LambdaMatrix(grid, spec, z, eps, tol=tol,
+                                      force=args.force)
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
@@ -463,9 +462,7 @@ def cmd_kk_check(args, cfg):
         dev = float(np.linalg.norm(ub - ua) / np.linalg.norm(ua))
         worst = max(worst, dev)
         rows.append((k, dev))
-    wall = 1000.0 * (time.perf_counter() - start)
-
-    _write_report(args, "kk-check", wall, ("probe", "deviation"), rows, {
+    return Report(("probe", "deviation"), rows, {
         "spec": {"masses": list(spec.masses), "g": spec.g},
         "grid": {"npoints": grid.npoints, "box": grid.box},
         "z": z,
@@ -473,21 +470,16 @@ def cmd_kk_check(args, cfg):
         "mode_pair": ["konno-kuroda", "direct-grid"],
         "distance": worst,
         "iterations": probes,
-        "wallclock_ms": wall,
         "threshold": threshold,
-    })
-    print("kk-check: max relative deviation %.3e over %d probes"
-          % (worst, probes))
-    return 0 if worst < threshold else 4
+    }, worst < threshold, "kk-check: max relative deviation %.3e over %d probes"
+        % (worst, probes))
 
 
 def cmd_forms(args, cfg):
     spec = _system_from(cfg)
-    grids = _grid_ladder(cfg, spec.n, "64", "12.8")
-    grid = grids[0]
+    grid = _grid_ladder(cfg, spec.n, "64", "12.8")[0]
     count = _option(cfg, "forms", "count")
 
-    start = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     pairs = sysmod.enumerate_pairs(spec)
     rows = []
@@ -534,18 +526,14 @@ def cmd_forms(args, cfg):
             ok = ok and verdict
             rows.append(("positivity", k, q, 0.0,
                          "PASS" if verdict else "FAIL"))
-    wall = 1000.0 * (time.perf_counter() - start)
 
-    _write_report(args, "forms", wall,
-                  ("check", "field", "value", "threshold", "verdict"), rows, {
+    return Report(("check", "field", "value", "threshold", "verdict"), rows, {
         "spec": {"masses": list(spec.masses), "g": spec.g},
         "grid": {"npoints": grid.npoints, "box": grid.box},
         "count": count,
         "checks": len(rows),
         "all_pass": ok,
-    })
-    print("forms: %d checks, all_pass=%s" % (len(rows), ok))
-    return 0 if ok else 4
+    }, ok, "forms: %d checks, all_pass=%s" % (len(rows), ok))
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +612,11 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         with _thread_cap(args):
-            return handler(args, cfg)
+            start = time.perf_counter()
+            report = handler(args, cfg)
+            _write_report(args, 1000.0 * (time.perf_counter() - start), report)
+        print(report.summary)
+        return 0 if report.ok else 4
     except (ConfigError, AboveThreshold, UnresolvedBump,
             PotentialOverflowsBox) as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -33,6 +33,18 @@ def apply_trace(grid, spec, pair, field):
     return f[idx, idx]
 
 
+def diagonal_scatter(grid, spec, pair, reduced):
+    """Adjoint of the diagonal gather: place a reduced field on f[k, k, ...].
+
+    Zero off the pair's collision hyperplane; no grid weight.
+    """
+    N = grid.npoints
+    embedded = np.zeros((N,) + reduced.shape, dtype=complex)
+    idx = np.arange(N)
+    embedded[idx, idx] = reduced
+    return gridmod.lab_axes_from_front(embedded, spec, pair)
+
+
 def trace_adjoint(grid, spec, pair, reduced):
     """Adjoint of :func:`apply_trace` between the weighted inner products.
 
@@ -41,11 +53,7 @@ def trace_adjoint(grid, spec, pair, reduced):
     the grid: the diagonal scatter divided by the grid spacing.
     """
     reduced = np.asarray(reduced, dtype=complex)
-    N = grid.npoints
-    embedded = np.zeros((N,) + reduced.shape, dtype=complex)
-    idx = np.arange(N)
-    embedded[idx, idx] = reduced / grid.h
-    return gridmod.lab_axes_from_front(embedded, spec, pair)
+    return diagonal_scatter(grid, spec, pair, reduced / grid.h)
 
 
 def momentum_trace(grid, field):

@@ -81,24 +81,22 @@ def kinetic_multiplier(grid, masses):
     return out
 
 
-def apply_free_hamiltonian(grid, masses, field):
-    """Spectral application of the free generator on the leading len(masses) axes."""
-    n = len(masses)
-    mult = kinetic_multiplier(grid, masses)
-    axes = tuple(range(n))
-    ext = mult.reshape(mult.shape + (1,) * (field.ndim - n))
+def fourier_multiply(mult, field):
+    """Apply a momentum-space multiplier on the leading mult.ndim axes of field.
+
+    The FFT runs over those axes; any trailing axes are a batch.
+    """
+    axes = tuple(range(mult.ndim))
+    ext = mult.reshape(mult.shape + (1,) * (field.ndim - mult.ndim))
     return scipy.fft.ifftn(scipy.fft.fftn(field, axes=axes) * ext, axes=axes)
 
 
 def free_resolvent(grid, masses, z):
     """Handle applying (H0 - z)^{-1} through the FFT on the leading axes."""
-    n = len(masses)
     mult = 1.0 / (kinetic_multiplier(grid, masses) - z)
-    axes = tuple(range(n))
 
     def apply(field):
-        ext = mult.reshape(mult.shape + (1,) * (field.ndim - n))
-        return scipy.fft.ifftn(scipy.fft.fftn(field, axes=axes) * ext, axes=axes)
+        return fourier_multiply(mult, field)
 
     return apply
 
@@ -255,7 +253,6 @@ class HamiltonianEps:
         self.spec = spec
         self.eps = float(eps)
         # pair_samples: list of (pair, 2-d array over (x_i, x_j) indices)
-        self.pair_samples = pair_samples
         self._kin = kinetic_multiplier(grid, spec.masses)
         pot = np.zeros(grid.shape)
         n = spec.n
@@ -267,9 +264,7 @@ class HamiltonianEps:
         self.potential = pot
 
     def apply(self, field):
-        axes = tuple(range(self.spec.n))
-        kin = self._kin.reshape(self._kin.shape + (1,) * (field.ndim - self.spec.n))
-        out = scipy.fft.ifftn(scipy.fft.fftn(field, axes=axes) * kin, axes=axes)
+        out = fourier_multiply(self._kin, field)
         pot = self.potential.reshape(
             self.potential.shape + (1,) * (field.ndim - self.spec.n)
         )

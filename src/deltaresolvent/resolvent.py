@@ -14,6 +14,9 @@ Four interchangeable routes to (H - z)^{-1} psi on the lattice:
              coupling maps, with the channel matrix inverted by the
              same diagonal-exact Neumann iteration.
 
+kk and limit are blocks.LambdaMatrix (here also named FactoredAssembly),
+theta is TraceAssembly: channel systems sharing one resolvent apply.
+
 All four agree on their common domain (real z below the guarded
 threshold); the test suite pins the pairwise deviations.
 """
@@ -22,7 +25,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 import scipy.optimize
 
 from . import forms as formsmod
@@ -64,30 +66,8 @@ class DirectAssembly:
     __call__ = apply
 
 
-class FactoredAssembly:
-    """Coupled-channel resolvent at width eps, or the contact limit.
-
-    Applies R0 psi, lifts through each pair's coupling map, solves the
-    channel system by its diagonal-exact Neumann iteration, and folds
-    the result back.  With eps=None the coupling maps are the
-    zero-width (hyperplane) ones and the assembly is the limit operator.
-    """
-
-    def __init__(self, grid, spec, z, eps=None, tol=1e-10, force_chain=False,
-                 force=False):
-        self.system = LambdaMatrix(grid, spec, z, eps, force_chain)
-        self.grid = grid
-        self.spec = spec
-        self.z = float(z)
-        self.eps = None if eps is None else float(eps)
-        self.tol = float(tol)
-        self.force = bool(force)
-        self.mode = "limit" if eps is None else "kk"
-
-    def apply(self, field):
-        return self.system.resolve(field, self.tol, self.force)
-
-    __call__ = apply
+# The kk/limit resolvent is its channel system; the older name stays.
+FactoredAssembly = LambdaMatrix
 
 
 class TraceAssembly(ChannelSystem):
@@ -103,22 +83,12 @@ class TraceAssembly(ChannelSystem):
     mode = "theta"
 
     def __init__(self, grid, spec, z, tol=1e-10, force=False):
-        super().__init__(grid, spec, z)
-        self.eps = None
-        self.tol = float(tol)
-        self.force = bool(force)
+        super().__init__(grid, spec, z, tol, force)
         self.multipliers = [pair_class_multiplier(grid, spec, p, self.z)
                             for p in self.pairs]
         self.last_residual = None
 
     # -- channel-space pieces -------------------------------------------------
-
-    def _per_class(self, field, values):
-        """Apply a reduced-momentum multiplier; trailing axes are batch."""
-        axes = tuple(range(self.spec.n - 1))
-        hat = scipy.fft.fftn(field, axes=axes)
-        v = values.reshape(values.shape + (1,) * (field.ndim - values.ndim))
-        return scipy.fft.ifftn(hat * v, axes=axes)
 
     def lift(self, k, field):
         return formsmod.apply_trace(self.grid, self.spec, self.pairs[k], field)
@@ -127,50 +97,24 @@ class TraceAssembly(ChannelSystem):
         return formsmod.trace_adjoint(self.grid, self.spec, self.pairs[k], chi)
 
     def own(self, k, chi):
-        return self._per_class(chi, self.multipliers[k])
+        return gridmod.fourier_multiply(self.multipliers[k], chi)
 
     def apply_diag_inverse(self, fields):
         g = self.spec.g
-        return [self._per_class(f, 1.0 / (1.0 - g * m))
+        return [gridmod.fourier_multiply(1.0 / (1.0 - g * m), f)
                 for f, m in zip(fields, self.multipliers)]
 
-    def solve_channels(self, fields, tol, force):
-        solution = invert_lambda(self, fields, tol=tol, force=force)
+    def solve_channels(self, fields):
+        solution = invert_lambda(self, fields, tol=self.tol, force=self.force)
         if len(self.pairs) > 1:
             back = self.channel_apply(solution)
             den = channel_norm(fields)
             resid = (channel_norm([b - f for b, f in zip(back, fields)]) / den
                      if den > 0.0 else 0.0)
             self.last_residual = resid
-            if resid > 100.0 * tol:
+            if resid > 100.0 * self.tol:
                 raise NoConvergence(MAX_TERMS, resid, "trace channel inversion")
         return solution
-
-    def symmetry_defect(self, rng=None, trials=8):
-        """Largest normalized asymmetry <u, M v> - <M u, v> over random pairs."""
-        if rng is None:
-            rng = np.random.default_rng(3)
-        shape = (self.grid.npoints,) * (self.spec.n - 1)
-        w = self.grid.h ** (self.spec.n - 1)
-        worst = 0.0
-        P = len(self.pairs)
-        for _ in range(trials):
-            u = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                 for _ in range(P)]
-            v = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                 for _ in range(P)]
-            mu = self.channel_apply(u)
-            mv = self.channel_apply(v)
-            lhs = sum(w * np.vdot(a, b) for a, b in zip(u, mv))
-            rhs = sum(w * np.vdot(a, b) for a, b in zip(mu, v))
-            worst = max(worst, abs(lhs - rhs)
-                        / (w * channel_norm(u) * channel_norm(v)))
-        return worst
-
-    def apply(self, field):
-        return self.resolve(field, self.tol, self.force)
-
-    __call__ = apply
 
 
 _MODE_ALIASES = {
@@ -202,12 +146,12 @@ def assemble(grid, spec, z, mode, eps=None, tol=1e-10, force_chain=False,
             raise ConfigError("mode %r requires a positive width" % mode)
         if key == "direct":
             return DirectAssembly(grid, spec, z, eps, tol=tol)
-        return FactoredAssembly(grid, spec, z, eps, tol=tol,
-                                force_chain=force_chain, force=force)
+        return LambdaMatrix(grid, spec, z, eps, tol=tol,
+                            force_chain=force_chain, force=force)
     if eps is not None:
         raise ConfigError("mode %r does not take a width" % mode)
     if key == "limit":
-        return FactoredAssembly(grid, spec, z, None, tol=tol, force=force)
+        return LambdaMatrix(grid, spec, z, None, tol=tol, force=force)
     return TraceAssembly(grid, spec, z, tol=tol, force=force)
 
 
@@ -243,39 +187,33 @@ class SweepReport:
         return all(b < a for a, b in zip(d, d[1:]))
 
 
-def _as_list(value):
-    try:
-        return list(value)
-    except TypeError:
-        return [value]
-
-
 def convergence_sweep(spec, z_values, eps_values, grids, rng=None,
-                      iters=40, restarts=3, tol=1e-10, force_chain=False):
+                      iters=40, restarts=3, tol=1e-10, force_chain=False,
+                      force=False):
     """Operator-norm distances between width-eps and limit resolvents.
 
-    For every grid level and spectral point, measures
-    ||R_eps - R_limit|| by power iteration on the (hermitian) difference
-    for each width, then fits the decay order in eps.  Returns a
-    SweepReport whose ``orders`` dict maps (level, z) to the fitted
-    log-log slope (NaN when a distance vanishes, e.g. at g = 0).
+    For every grid in ``grids`` and spectral point in ``z_values``,
+    measures ||R_eps - R_limit|| by power iteration on the (hermitian)
+    difference for each width in ``eps_values``, then fits the decay
+    order in eps.  ``force`` unlocks z at or above the threshold, as in
+    :func:`assemble`.  Returns a SweepReport whose ``orders`` dict maps
+    (level, z) to the fitted log-log slope (NaN when a distance
+    vanishes, e.g. at g = 0).
     """
-    if isinstance(grids, gridmod.Grid):
-        grids = [grids]
-    z_values = [float(z) for z in _as_list(z_values)]
-    eps_values = [float(e) for e in _as_list(eps_values)]
+    z_values = [float(z) for z in z_values]
+    eps_values = [float(e) for e in eps_values]
     if rng is None:
         rng = np.random.default_rng(0)
     entries = []
     orders = {}
     for level, grid in enumerate(grids):
         for z in z_values:
-            limit = FactoredAssembly(grid, spec, z, None, tol=tol)
+            limit = LambdaMatrix(grid, spec, z, None, tol=tol, force=force)
             dists = []
             for eps in eps_values:
                 stream = rng.spawn(1)[0]
-                asm = FactoredAssembly(grid, spec, z, eps, tol=tol,
-                                       force_chain=force_chain)
+                asm = LambdaMatrix(grid, spec, z, eps, tol=tol,
+                                   force_chain=force_chain, force=force)
 
                 def difference(f):
                     return asm.apply(f) - limit.apply(f)

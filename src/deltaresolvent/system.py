@@ -47,11 +47,6 @@ class SystemSpec:
     def n(self):
         return len(self.masses)
 
-    @property
-    def pair_count(self):
-        n = self.n
-        return n * (n - 1) // 2
-
 
 def enumerate_pairs(spec):
     """All interacting pairs in lexicographic order, with masses attached."""

@@ -6,8 +6,7 @@ import pytest
 from deltaresolvent.audits import (ABS_SLACK, _finish, audit_convergence_constant,
                                    audit_diagonal_bound, audit_schur_3d,
                                    audit_schur_4d, default_audit_grid,
-                                   gaussian_radial_moment, run_default_sweep,
-                                   schur_row_closed_3d)
+                                   run_default_sweep, schur_row_closed_3d)
 from deltaresolvent.system import SystemSpec
 
 SUP_AT_MINUS_ONE = 0.3535533905932738  # 1 / (2 sqrt(2))
@@ -22,12 +21,6 @@ def test_verdict_rule_slack():
     audit = _finish("x", {"z": -1.0}, 2.0, 1.5)
     assert audit.margin == pytest.approx(0.5)
     assert audit.detail == {}
-
-
-@pytest.mark.parametrize("t", [0.3, 1.0, 2.7])
-def test_gaussian_radial_moment_closed_form(t):
-    closed = (math.sqrt(math.pi) / 4.0) * (2.0 * t) ** 1.5
-    assert gaussian_radial_moment(t) == pytest.approx(closed, rel=1e-10)
 
 
 def test_closed_row_values_and_scaling():

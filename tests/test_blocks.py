@@ -133,13 +133,23 @@ def test_offdiagonal_block_requires_distinct_pairs():
         OffDiagonalBlock(grid, spec, pairs[0], pairs[1], 1.0)
 
 
+def test_offdiagonal_gram_matrix_is_exactly_symmetric():
+    """norm() hands (M^T M)^T to LAPACK as M^T M itself, in Fortran order."""
+    spec = SystemSpec(masses=(1.0, 1.0, 1.0), g=1.0)
+    pairs = enumerate_pairs(spec)
+    blk = OffDiagonalBlock(Grid(16, 3.2, 1), spec, pairs[0], pairs[1], -25.0)
+    mat = blk.kernel_matrix()
+    gram = (mat.T @ mat).T
+    assert gram.flags.f_contiguous
+    assert np.array_equal(gram, gram.T)
+
+
 def test_offdiagonal_shared_block_norm_against_claim():
     spec = SystemSpec(masses=(1.0, 1.0, 1.0), g=1.0)
     pairs = enumerate_pairs(spec)
     grid = Grid(16, 3.2, 1)
     blk = OffDiagonalBlock(grid, spec, pairs[0], pairs[1], -25.0)
     assert blk.kind == "shared"
-    assert blk.transverse_dim() == 3
     norm = blk.norm()
     assert 0.0 < norm <= blk.claimed_bound()
     # the explicit lattice only exists for the smallest geometry

@@ -110,6 +110,21 @@ def test_converge_report(tmp_path):
     assert "0,-20" in meta["orders"]
 
 
+def test_converge_forced_above_threshold(tmp_path):
+    cfg = write_config(tmp_path, "\n".join([
+        "[grid]", "npoints = 32", "box = 6.4",
+        "[converge]", "z = -1.0", "eps = 0.4, 0.2",
+        "iters = 4", "restarts = 1", "",
+    ]))
+    out = tmp_path / "reports"
+    # z0 = -2.25, so the sweep's own channel inversions need the unlock too
+    assert run("converge", "--config", cfg, "--out", str(out),
+               "--force") == 0
+    meta = read_json(out / "converge.json")
+    assert meta["force"] is True
+    assert meta["supported"] is False
+
+
 def test_spectrum_single_width(tmp_path):
     cfg = write_config(tmp_path, "\n".join([
         "[grid]", "npoints = 32", "box = 6.4",
@@ -283,6 +298,8 @@ def test_thread_count_leaves_csv_bodies_unchanged(tmp_path, command):
     ("forms", "forms", "count", "2.5"),
     ("spectrum", "spectrum", "steps", "0"),
     ("spectrum", "spectrum", "tol", "-1"),
+    ("kernels", "kernels", "point", "3"),
+    ("forms", "form", "count", "5"),
 ])
 def test_bad_value_is_a_config_error_naming_its_key(tmp_path, capsys, command,
                                                     section, key, value):
