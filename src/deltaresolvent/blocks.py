@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 import scipy.linalg
-import scipy.special
 
+from . import greens as greensmod
 from . import grid as gridmod
 from . import system as sysmod
 from .bump import DEFAULT_PROFILE, coupling_map
@@ -47,29 +47,12 @@ from .errors import (
     SeriesDiverging,
 )
 
-# Chunk (entries) of the 4-d kernel lattice evaluated at once; the disjoint
-# 16^6 lattice is 134 MB, so its K1 temporaries are built piecewise.
-_K1_CHUNK = 1 << 21
+# Chunk (entries) of the kernel lattice evaluated at once; the disjoint
+# 16^6 lattice is 134 MB, so its kernel temporaries are built piecewise.
+_KERNEL_CHUNK = 1 << 21
 
 # Neumann terms invert_lambda adds before giving up.
 MAX_TERMS = 200
-
-
-def _spectator_kinetic(grid, spec, pair):
-    """Kinetic multiplier of the spectators, shaped for the reduced lattice.
-
-    Returns an array broadcastable against (N,) * (n - 1) whose leading
-    reduced axis (pair center of mass) is flat.
-    """
-    n = spec.n
-    total = np.zeros((1,) * (n - 1))
-    p2 = grid.p ** 2
-    for axis, label in enumerate(sysmod.spectator_indices(spec, pair), start=1):
-        m = spec.masses[label - 1]
-        view = [1] * (n - 1)
-        view[axis] = grid.npoints
-        total = total + (p2 / (2.0 * m)).reshape(view)
-    return total
 
 
 def pair_class_multiplier(grid, spec, pair, z):
@@ -96,7 +79,8 @@ def pair_class_multiplier(grid, spec, pair, z):
     k = np.arange(N)
     wrap = (k[None, :] - k[:, None]) % N          # [relative k, class K]
     core = (grid.p ** 2 / (2.0 * mi))[:, None] + grid.p[wrap] ** 2 / (2.0 * mj)
-    spect = _spectator_kinetic(grid, spec, pair)  # broadcast over (K, spect)
+    spectators = [spec.masses[k - 1] for k in sysmod.spectator_indices(spec, pair)]
+    spect = gridmod.kinetic_multiplier(grid, spectators)[None]  # over (K, spect)
     extra = (1,) * (spec.n - 2)
     denom = core.reshape(core.shape + extra) + (spect - z)[None]
     return np.sum(1.0 / denom, axis=0) / grid.box
@@ -205,41 +189,26 @@ def verify_block_convergence(grid, spec, pair, z, eps_list):
 # ---------------------------------------------------------------------------
 
 
-def _bulk_kernel_3d(kappa, rho):
-    out = np.zeros_like(rho)
-    good = rho > 0.0
-    out[good] = np.exp(-kappa * rho[good]) / (4.0 * math.pi * rho[good])
-    return out
-
-
-def _bulk_kernel_4d(kappa, rho):
-    """The 4-d kernel, written over ``rho`` chunk by chunk (zero stays zero)."""
-    flat = rho.reshape(-1)
-    for lo in range(0, flat.size, _K1_CHUNK):
-        piece = flat[lo:lo + _K1_CHUNK]
-        good = piece > 0.0
-        r = piece[good]
-        piece[good] = kappa * scipy.special.k1(kappa * r) / (4.0 * math.pi ** 2 * r)
-    return rho
-
-
 class OffDiagonalBlock:
     """Distinct-pair block in the zero-width limit.
 
     The block factorizes through the profile on both relative
-    coordinates; what remains is a kernel on the two reduced
-    configuration spaces whose value depends only on a mass-weighted
-    displacement vector fed to the free-space kernel in 3 dimensions
-    (pairs sharing a particle) or 4 (disjoint pairs).  Coincidence
-    points of the displacement are singular; the materialized matrix
-    sets those entries to zero.  Every entry carries the sign of the
-    coupling constant, so dropping them can only lower the norm: the
-    measured norm is a lower estimate of the block's, and an audit of
-    "measured <= claimed" on it is lenient.
+    coordinates; what remains is a kernel between the reduced lattices
+    of the two pairs, each in the fixed order (pair center of mass, then
+    spectators by ascending label).  Particle p sits at the center of
+    mass of each pair it belongs to and at its own spectator coordinate
+    otherwise; its row and column positions add 2 m_p (row - column)^2
+    to the squared displacement rho^2, and the entry is the n-dimensional
+    free-space kernel ``greens.greens_closed(n, z, rho)``.  Coincidence
+    points (rho = 0) are singular; the materialized matrix sets those
+    entries to zero.  Every entry carries the sign of the coupling
+    constant, so dropping them can only lower the norm: the measured
+    norm is a lower estimate of the block's, and an audit of "measured
+    <= claimed" on it is lenient.
 
-    The explicit kernel lattice is implemented for the two smallest
-    systems exhibiting each geometry (three particles for a shared
-    member, four for disjoint pairs).
+    The kernel is materialized for the two smallest systems exhibiting
+    each geometry: three particles for pairs sharing a member ("shared"),
+    four for disjoint pairs ("disjoint").
     """
 
     def __init__(self, grid, spec, sigma, nu, z):
@@ -254,23 +223,11 @@ class OffDiagonalBlock:
         self.z = float(z)
         common = {sigma.i, sigma.j} & {nu.i, nu.j}
         self.kind = "shared" if len(common) == 1 else "disjoint"
-        if self.kind == "shared":
-            self.shared = common.pop()
-            self.sigma_other = sigma.i if sigma.j == self.shared else sigma.j
-            self.nu_other = nu.i if nu.j == self.shared else nu.j
 
     def coupling_constant(self):
-        """Signed prefactor carried by the factorized kernel."""
-        m = self.spec.masses
-        g = self.spec.g
-        if self.kind == "shared":
-            prod = (m[self.shared - 1]
-                    * m[self.sigma_other - 1]
-                    * m[self.nu_other - 1])
-            return -(2.0 ** 1.5) * g * math.sqrt(prod)
-        prod = (m[self.sigma.i - 1] * m[self.sigma.j - 1]
-                * m[self.nu.i - 1] * m[self.nu.j - 1])
-        return -4.0 * g * math.sqrt(prod)
+        """Signed prefactor of the factorized kernel: -2^(n/2) g sqrt(prod m)."""
+        n = self.spec.n
+        return -(2.0 ** (n / 2)) * self.spec.g * math.sqrt(math.prod(self.spec.masses))
 
     def kernel_matrix(self):
         """Materialize the reduced-to-reduced kernel with quadrature weights.
@@ -284,44 +241,29 @@ class OffDiagonalBlock:
             raise ValueError("explicit shared-pair kernel needs three particles")
         if self.kind == "disjoint" and n != 4:
             raise ValueError("explicit disjoint-pair kernel needs four particles")
-        x = self.grid.x
-        m = self.spec.masses
-        kappa = math.sqrt(-self.z)
-        if self.kind == "shared":
-            ms = m[self.shared - 1]
-            ma = m[self.sigma_other - 1]
-            mb = m[self.nu_other - 1]
-            R = x[:, None, None, None]
-            xb = x[None, :, None, None]
-            Rp = x[None, None, :, None]
-            xa = x[None, None, None, :]
-            sq = 2.0 * ms * (R - Rp) ** 2
-            sq = sq + 2.0 * ma * (R - xa) ** 2
-            sq = sq + 2.0 * mb * (xb - Rp) ** 2
-            bulk = _bulk_kernel_3d
-            size = self.grid.npoints ** 2
-        else:
-            mi = m[self.sigma.i - 1]
-            mj = m[self.sigma.j - 1]
-            mk = m[self.nu.i - 1]
-            ml = m[self.nu.j - 1]
-            N = self.grid.npoints
-            sh = [1] * 6
-            ax = []
-            for pos in range(6):
-                view = sh.copy()
-                view[pos] = N
-                ax.append(x.reshape(view))
-            R, xk, xl, Rp, xi, xj = ax
-            sq = 2.0 * mi * (R - xi) ** 2
-            sq = sq + 2.0 * mj * (R - xj) ** 2
-            sq = sq + 2.0 * mk * (xk - Rp) ** 2
-            sq = sq + 2.0 * ml * (xl - Rp) ** 2
-            bulk = _bulk_kernel_4d
-            size = N ** 3
-        ker = bulk(kappa, np.sqrt(sq, out=sq))
-        ker *= self.coupling_constant() * self.grid.h ** (n - 1)
-        return ker.reshape(size, size)
+        N = self.grid.npoints
+
+        def positions(pair, first, p):
+            """Lattice positions of particle p in pair's reduced coordinates."""
+            if p in (pair.i, pair.j):
+                axis = first
+            else:
+                axis = first + 1 + sysmod.spectator_indices(self.spec, pair).index(p)
+            view = [1] * (2 * n - 2)
+            view[axis] = N
+            return self.grid.x.reshape(view)
+
+        sq = 0.0
+        for p, m in enumerate(self.spec.masses, start=1):
+            diff = positions(self.sigma, 0, p) - positions(self.nu, n - 1, p)
+            sq = sq + 2.0 * m * diff ** 2
+        flat = np.sqrt(sq, out=sq).reshape(-1)
+        for lo in range(0, flat.size, _KERNEL_CHUNK):
+            piece = flat[lo:lo + _KERNEL_CHUNK]
+            good = piece > 0.0
+            piece[good] = greensmod.greens_closed(n, self.z, piece[good])
+        sq *= self.coupling_constant() * self.grid.h ** (n - 1)
+        return sq.reshape(N ** (n - 1), N ** (n - 1))
 
     def norm(self):
         """Exact operator norm of the materialized kernel, with the profile factor.
@@ -448,11 +390,6 @@ class ChannelSystem:
         g = self.spec.g
         return [f - g * self.lift(k, smoothed) for k, f in enumerate(fields)]
 
-    def apply_diag(self, fields):
-        """Only the same-pair blocks of the system."""
-        g = self.spec.g
-        return [f - g * self.own(k, f) for k, f in enumerate(fields)]
-
     def apply_offdiag(self, fields):
         """Only the distinct-pair blocks (zero on the diagonal)."""
         smoothed = self.smoothed(fields)
@@ -491,13 +428,11 @@ class LambdaMatrix(ChannelSystem):
     The block and its inverse are then slice-wise multiplications.
     """
 
-    def __init__(self, grid, spec, z, eps=None, tol=1e-10, force_chain=False,
-                 force=False):
+    def __init__(self, grid, spec, z, eps=None, tol=1e-10, force=False):
         super().__init__(grid, spec, z, tol, force)
         self.eps = None if eps is None else float(eps)
         self.mode = "limit" if eps is None else "kk"
-        self.maps = [coupling_map(grid, spec, p, eps, force_chain)
-                     for p in self.pairs]
+        self.maps = [coupling_map(grid, spec, p, eps) for p in self.pairs]
         self._diag_cache = None
 
     def lift(self, k, field):

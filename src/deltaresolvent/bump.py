@@ -144,7 +144,7 @@ class ChainCouplingMap:
         self.window = renormalized_samples(grid)
 
     def forward(self, lab_field):
-        f = gridmod.lab_axes_to_front(lab_field, self.spec, self.pair)
+        f = gridmod.lab_axes_to_front(lab_field, self.pair)
         f = gridmod.pair_frame_forward(self.grid, f, self.alpha, self.beta)
         f = gridmod.dilation_eval(self.grid, f, self.eps)
         w = self.window.reshape((-1,) + (1,) * (f.ndim - 1))
@@ -154,7 +154,7 @@ class ChainCouplingMap:
         w = self.window.reshape((-1,) + (1,) * (chi_field.ndim - 1))
         f = gridmod.dilation_eval_adjoint(self.grid, w * chi_field, self.eps)
         f = gridmod.pair_frame_adjoint(self.grid, f, self.alpha, self.beta)
-        return gridmod.lab_axes_from_front(f, self.spec, self.pair)
+        return gridmod.lab_axes_from_front(f, self.pair)
 
     def support_indices(self):
         """First-axis indices the coupled fields can live on."""
@@ -181,7 +181,7 @@ class ShearCouplingMap:
         self._idx = np.arange(grid.npoints)
 
     def forward(self, lab_field):
-        f = gridmod.lab_axes_to_front(lab_field, self.spec, self.pair)
+        f = gridmod.lab_axes_to_front(lab_field, self.pair)
         N = self.grid.npoints
         d = self._idx[:, None]
         q = self._idx[None, :]
@@ -198,7 +198,7 @@ class ShearCouplingMap:
         q = self._idx[None, :]
         # scatter back: adjoint of the gather permutation
         out[(d + q) % N, q] = g[d, q]
-        return gridmod.lab_axes_from_front(out, self.spec, self.pair)
+        return gridmod.lab_axes_from_front(out, self.pair)
 
     def support_indices(self):
         """First-axis indices the coupled fields can live on."""
@@ -235,17 +235,16 @@ class LimitCouplingMap:
         return np.nonzero(self.window)[0]
 
 
-def coupling_map(grid, spec, pair, eps=None, force_chain=False):
+def coupling_map(grid, spec, pair, eps=None):
     """Pick the coupling factorization for one pair.
 
     eps=None yields the limit map.  Positive eps must fit the bump in
     half the box (both width maps raise PotentialOverflowsBox otherwise)
     and dispatches on the resolution rule: the exact shear when the grid
-    resolves the scaled bump, the narrow-width chain otherwise (or always
-    with force_chain).
+    resolves the scaled bump, the narrow-width chain otherwise.
     """
     if eps is None:
         return LimitCouplingMap(grid, spec, pair)
-    if not force_chain and resolution_ok(grid, eps):
+    if resolution_ok(grid, eps):
         return ShearCouplingMap(grid, spec, pair, eps)
     return ChainCouplingMap(grid, spec, pair, eps)

@@ -28,7 +28,7 @@ def apply_trace(grid, spec, pair, field):
     members sit at the center of mass on the hyperplane, a grid point,
     so the restriction is the diagonal f[k, k, ...] of the pair axes.
     """
-    f = gridmod.lab_axes_to_front(field, spec, pair)
+    f = gridmod.lab_axes_to_front(field, pair)
     idx = np.arange(grid.npoints)
     return f[idx, idx]
 
@@ -42,7 +42,7 @@ def diagonal_scatter(grid, spec, pair, reduced):
     embedded = np.zeros((N,) + reduced.shape, dtype=complex)
     idx = np.arange(N)
     embedded[idx, idx] = reduced
-    return gridmod.lab_axes_from_front(embedded, spec, pair)
+    return gridmod.lab_axes_from_front(embedded, pair)
 
 
 def trace_adjoint(grid, spec, pair, reduced):

@@ -227,12 +227,12 @@ def dilation_eval_adjoint(grid, field, eps):
     return scipy.fft.ifft(np.tensordot(T.conj().T, field, axes=(1, 0)), axis=0)
 
 
-def lab_axes_to_front(field, spec, pair):
+def lab_axes_to_front(field, pair):
     """Move the two axes belonging to ``pair`` to the front, spectators after."""
     return np.moveaxis(field, (pair.i - 1, pair.j - 1), (0, 1))
 
 
-def lab_axes_from_front(field, spec, pair):
+def lab_axes_from_front(field, pair):
     return np.moveaxis(field, (0, 1), (pair.i - 1, pair.j - 1))
 
 

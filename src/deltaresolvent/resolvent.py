@@ -128,8 +128,7 @@ _MODE_ALIASES = {
 }
 
 
-def assemble(grid, spec, z, mode, eps=None, tol=1e-10, force_chain=False,
-             force=False):
+def assemble(grid, spec, z, mode, eps=None, tol=1e-10, force=False):
     """Build one resolvent assembly by mode name.
 
     ``direct`` and ``kk`` need a positive width; ``limit`` and ``theta``
@@ -146,8 +145,7 @@ def assemble(grid, spec, z, mode, eps=None, tol=1e-10, force_chain=False,
             raise ConfigError("mode %r requires a positive width" % mode)
         if key == "direct":
             return DirectAssembly(grid, spec, z, eps, tol=tol)
-        return LambdaMatrix(grid, spec, z, eps, tol=tol,
-                            force_chain=force_chain, force=force)
+        return LambdaMatrix(grid, spec, z, eps, tol=tol, force=force)
     if eps is not None:
         raise ConfigError("mode %r does not take a width" % mode)
     if key == "limit":
@@ -188,8 +186,7 @@ class SweepReport:
 
 
 def convergence_sweep(spec, z_values, eps_values, grids, rng=None,
-                      iters=40, restarts=3, tol=1e-10, force_chain=False,
-                      force=False):
+                      iters=40, restarts=3, tol=1e-10, force=False):
     """Operator-norm distances between width-eps and limit resolvents.
 
     For every grid in ``grids`` and spectral point in ``z_values``,
@@ -212,8 +209,7 @@ def convergence_sweep(spec, z_values, eps_values, grids, rng=None,
             dists = []
             for eps in eps_values:
                 stream = rng.spawn(1)[0]
-                asm = LambdaMatrix(grid, spec, z, eps, tol=tol,
-                                   force_chain=force_chain, force=force)
+                asm = LambdaMatrix(grid, spec, z, eps, tol=tol, force=force)
 
                 def difference(f):
                     return asm.apply(f) - limit.apply(f)

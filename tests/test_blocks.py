@@ -11,6 +11,7 @@ from deltaresolvent.bump import DEFAULT_PROFILE
 from deltaresolvent.errors import (AboveThreshold, SameBlockRequested,
                                    SeriesDiverging)
 from deltaresolvent.forms import apply_trace, trace_adjoint
+from deltaresolvent.greens import greens_closed
 from deltaresolvent.grid import Grid, free_resolvent
 from deltaresolvent.resolvent import TraceAssembly
 from deltaresolvent.system import SystemSpec, bound_constants, enumerate_pairs
@@ -186,6 +187,60 @@ def test_offdiagonal_norm_scales_like_inverse_sqrt_z():
     assert n2 < n1 / 1.8
 
 
+@pytest.mark.parametrize("masses", [(1.0, 2.0, 0.5), (1.0, 2.0, 0.5, 1.5)],
+                         ids=["shared-n3", "disjoint-n4"])
+def test_offdiagonal_kernel_follows_reduced_layout_for_every_pair(masses):
+    """Sampled entries equal the n-dimensional kernel at the mass-weighted rho.
+
+    Rows run over (sigma center, sigma spectators ascending), columns over
+    the same for nu; particle p sits at the center of a pair it belongs to
+    and at its own spectator coordinate otherwise.
+    """
+    grid = Grid(8, 3.2, 1)
+    spec = SystemSpec(masses=masses, g=0.7)
+    n, N, z = spec.n, grid.npoints, -9.0
+    pairs = enumerate_pairs(spec)
+    rng = np.random.default_rng(12)
+
+    def lab_positions(pair, index):
+        coords = np.unravel_index(index, (N,) * (n - 1))
+        spectators = [k for k in range(1, n + 1) if k not in (pair.i, pair.j)]
+        return [grid.x[coords[0]] if p in (pair.i, pair.j)
+                else grid.x[coords[1 + spectators.index(p)]]
+                for p in range(1, n + 1)]
+
+    blocks = 0
+    for sigma in pairs:
+        for nu in pairs:
+            common = {sigma.i, sigma.j} & {nu.i, nu.j}
+            if sigma == nu or len(common) != (1 if n == 3 else 0):
+                continue
+            blk = OffDiagonalBlock(grid, spec, sigma, nu, z)
+            assert blk.kind == ("shared" if n == 3 else "disjoint")
+            assert blk.coupling_constant() == pytest.approx(
+                -(2.0 ** (n / 2)) * spec.g * math.sqrt(math.prod(masses)),
+                rel=1e-15)
+            mat = blk.kernel_matrix()
+            # random entries plus every coincidence (all particles at one site)
+            same = [np.ravel_multi_index((k,) * (n - 1), (N,) * (n - 1))
+                    for k in range(N)]
+            rows = list(rng.integers(0, mat.shape[0], 200)) + same
+            cols = list(rng.integers(0, mat.shape[1], 200)) + same
+            for r, c in zip(rows, cols):
+                xs = lab_positions(sigma, r)
+                ys = lab_positions(nu, c)
+                rho = math.sqrt(sum(2.0 * m * (a - b) ** 2
+                                    for m, a, b in zip(masses, xs, ys)))
+                if rho == 0.0:
+                    assert mat[r, c] == 0.0
+                    continue
+                want = (blk.coupling_constant() * grid.h ** (n - 1)
+                        * greens_closed(n, z, rho))
+                assert mat[r, c] == pytest.approx(want, rel=1e-13)
+            blocks += 1
+    assert blocks == 6  # every ordered pair of the geometry
+
+
 def test_lambda_apply_splits_into_diag_and_offdiag():
     spec = SystemSpec(masses=(1.0, 0.5, 2.0), g=0.7)
     grid = Grid(16, 3.2, 3)
@@ -194,7 +249,7 @@ def test_lambda_apply_splits_into_diag_and_offdiag():
         rng = np.random.default_rng(4)
         fields = random_channels(lam, rng)
         full = lam.channel_apply(fields)
-        diag = lam.apply_diag(fields)
+        diag = [f - spec.g * lam.own(k, f) for k, f in enumerate(fields)]
         off = lam.apply_offdiag(fields)
         # the identity term rides inside the diagonal part
         for a, b, c in zip(full, diag, off):
@@ -208,7 +263,8 @@ def test_lambda_diag_inverse_roundtrip_limit_and_width():
     for lam in systems + [TraceAssembly(grid, spec, -9.0)]:
         rng = np.random.default_rng(5)
         fields = random_channels(lam, rng)
-        back = lam.apply_diag(lam.apply_diag_inverse(fields))
+        back = [b - spec.g * lam.own(k, b)
+                for k, b in enumerate(lam.apply_diag_inverse(fields))]
         for f, b in zip(fields, back):
             assert np.linalg.norm(b - f) / np.linalg.norm(f) < 1e-11
 
@@ -218,7 +274,7 @@ def test_factored_own_block_matches_lab_round_trip():
     spec = SystemSpec(masses=(1.0, 2.0, 0.5), g=1.0)
     grid = Grid(16, 3.2, 3)
     systems = [LambdaMatrix(grid, spec, -20.0),
-               LambdaMatrix(grid, spec, -20.0, eps=0.2, force_chain=True),
+               LambdaMatrix(grid, spec, -20.0, eps=0.2),
                LambdaMatrix(grid, spec, -20.0, eps=0.8)]
     assert [type(lam.maps[0]).__name__ for lam in systems] == [
         "LimitCouplingMap", "ChainCouplingMap", "ShearCouplingMap"]

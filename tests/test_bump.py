@@ -97,18 +97,19 @@ def test_sampled_potential_overflow_guard():
 
 
 def test_coupling_maps_reject_overflowing_width():
-    """Both positive-width map kinds refuse a bump wider than half the box."""
+    """A bump wider than half the box is refused by the map it selects.
+
+    Such a width is always resolved, so the dispatcher picks the shear map;
+    the chain map's own check is test_width_map_constructors_check_the_box.
+    """
     grid = Grid(16, 3.2, 2)
     spec = SystemSpec(masses=(1.0, 1.0), g=1.0)
     pair = enumerate_pairs(spec)[0]
-    for force_chain in (False, True):  # shear (resolved), then chain
-        with pytest.raises(PotentialOverflowsBox):
-            coupling_map(grid, spec, pair, 2.0, force_chain=force_chain)
-        with pytest.raises(PotentialOverflowsBox):
-            FactoredAssembly(grid, spec, -20.0, 2.0, force_chain=force_chain)
+    with pytest.raises(PotentialOverflowsBox):
+        coupling_map(grid, spec, pair, 2.0)
+    with pytest.raises(PotentialOverflowsBox):
+        FactoredAssembly(grid, spec, -20.0, 2.0)
     assert isinstance(coupling_map(grid, spec, pair, 1.5), ShearCouplingMap)
-    assert isinstance(coupling_map(grid, spec, pair, 1.5, force_chain=True),
-                      ChainCouplingMap)
 
 
 def test_width_map_constructors_check_the_box():
@@ -236,5 +237,3 @@ def test_dispatcher_selects_route():
     assert isinstance(coupling_map(grid, spec, pair, None), LimitCouplingMap)
     assert isinstance(coupling_map(grid, spec, pair, 0.8), ShearCouplingMap)
     assert isinstance(coupling_map(grid, spec, pair, 0.1), ChainCouplingMap)
-    assert isinstance(
-        coupling_map(grid, spec, pair, 0.8, force_chain=True), ChainCouplingMap)

@@ -47,7 +47,7 @@ def test_diagonal_gather_matches_pair_frame_row(spec):
             + 1j * rng.standard_normal(grid.shape + batch)
         y = rng.standard_normal(grid.shape[1:] + batch) \
             + 1j * rng.standard_normal(grid.shape[1:] + batch)
-        front = lab_axes_to_front(f, spec, pair)
+        front = lab_axes_to_front(f, pair)
         row = pair_frame_forward(grid, front, alpha, beta)[N // 2]
         assert _relative_gap(apply_trace(grid, spec, pair, f), row) <= 1e-14
         w = cmap.window.reshape((-1,) + (1,) * row.ndim)
@@ -56,12 +56,12 @@ def test_diagonal_gather_matches_pair_frame_row(spec):
         embedded = np.zeros((N,) + y.shape, dtype=complex)
         embedded[N // 2] = y
         ref = lab_axes_from_front(pair_frame_adjoint(grid, embedded, alpha, beta),
-                                  spec, pair)
+                                  pair)
         assert _relative_gap(trace_adjoint(grid, spec, pair, y), ref / grid.h) <= 1e-14
         chi = w * y[None]
         embedded[N // 2] = np.sum(w * chi, axis=0)
         ref = lab_axes_from_front(pair_frame_adjoint(grid, embedded, alpha, beta),
-                                  spec, pair)
+                                  pair)
         assert _relative_gap(cmap.adjoint(chi), ref) <= 1e-14
 
 

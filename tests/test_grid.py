@@ -135,10 +135,10 @@ def test_lab_axes_moves_pair_to_front_and_back():
     pair = enumerate_pairs(spec)[2]  # (2, 3)
     rng = np.random.default_rng(5)
     f = rng.standard_normal((8, 8, 8))
-    front = lab_axes_to_front(f, spec, pair)
+    front = lab_axes_to_front(f, pair)
     assert front.shape == f.shape
     assert np.array_equal(front[:, :, 0], f[0].T) is False  # axes permuted
-    assert np.array_equal(lab_axes_from_front(front, spec, pair), f)
+    assert np.array_equal(lab_axes_from_front(front, pair), f)
 
 
 def test_minimum_image_separation():

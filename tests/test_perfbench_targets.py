@@ -22,3 +22,16 @@ def test_tracer_finds_its_targets(monkeypatch):
     finally:
         traced.uninstall()
     assert traced.patched() == []
+
+
+def test_resolvent_keeps_the_names_perfbench_reads():
+    """perfbench/tests read these attributes of the resolvent module directly.
+
+    That suite lies outside the default test paths, so a dropped import
+    would otherwise only show in a manual run of it.
+    """
+    from deltaresolvent import blocks, bump, resolvent
+
+    assert resolvent.invert_lambda is blocks.invert_lambda
+    assert resolvent.build_hamiltonian is bump.build_hamiltonian
+    assert resolvent.FactoredAssembly is blocks.LambdaMatrix
