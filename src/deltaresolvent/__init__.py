@@ -21,8 +21,8 @@ from .errors import (AboveThreshold, ConfigError, DeltaResolventError,
 from .forms import (apply_trace, evaluate_form, fourier_trace_identities,
                     h1_norm_squared, momentum_trace, trace_adjoint)
 from .greens import greens_closed, greens_quadrature
-from .grid import (Grid, free_resolvent, lowest_eigenvalues, operator_norm,
-                   random_band_limited, shifted_solver)
+from .grid import (Grid, free_resolvent, lowest_eigenvalues, random_band_limited,
+                   shifted_solver)
 from .resolvent import (DirectAssembly, FactoredAssembly, TraceAssembly,
                         assemble, convergence_sweep, ground_energy, pole_scan)
 from .system import SystemSpec, bound_constants, enumerate_pairs, parse_masses
@@ -64,7 +64,6 @@ __all__ = [
     "invert_lambda",
     "lowest_eigenvalues",
     "momentum_trace",
-    "operator_norm",
     "pair_class_multiplier",
     "parse_masses",
     "pole_scan",

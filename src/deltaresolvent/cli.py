@@ -31,7 +31,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.fft
@@ -91,8 +91,6 @@ _OPTIONS = {
     "converge": {
         "z": (_numbers, "-20.0", _NEGATIVE),
         "eps": (_numbers, "0.4, 0.2, 0.1, 0.05", _POSITIVE),
-        "iters": (int, "12", _POSITIVE),
-        "restarts": (int, "2", _POSITIVE),
         "tol": (float, "1e-10", _POSITIVE),
     },
     "spectrum": {
@@ -277,21 +275,15 @@ def cmd_converge(args, cfg):
     grids = _grid_ladder(cfg, spec.n, "64", "12.8")
     z_values = _option(cfg, "converge", "z")
     eps_values = _option(cfg, "converge", "eps")
-    iters = _option(cfg, "converge", "iters")
-    restarts = _option(cfg, "converge", "restarts")
     tol = _option(cfg, "converge", "tol")
     _check_below_threshold(z_values, spec, args.force, "converge")
 
     sweep = resolventmod.convergence_sweep(
         spec, z_values, eps_values, grids,
-        rng=np.random.default_rng(args.seed), iters=iters, restarts=restarts,
-        tol=tol, force=args.force)
+        rng=np.random.default_rng(args.seed), tol=tol, force=args.force)
     rows = [(e.level, e.npoints, e.box, e.z, e.eps, e.distance, e.spread)
             for e in sweep.entries]
-    monotone = {}
-    for level in range(len(grids)):
-        for z in z_values:
-            monotone["%d,%g" % (level, z)] = sweep.monotone(level, z)
+    monotone = {"%d,%g" % key: sweep.monotone(*key) for key in sweep.orders}
     ok = all(monotone.values())
     return Report(
         ("level", "npoints", "box", "z", "eps", "distance", "spread"), rows, {
@@ -300,11 +292,7 @@ def cmd_converge(args, cfg):
             "z": z_values,
             "eps": eps_values,
             "mode_pair": ["konno-kuroda", "limit"],
-            "entries": [{
-                "level": e.level, "z": e.z, "eps": e.eps,
-                "distance": e.distance, "iterations": e.iterations,
-                "wallclock_ms": e.wallclock_ms,
-            } for e in sweep.entries],
+            "entries": [asdict(e) for e in sweep.entries],
             "orders": {"%d,%g" % k: v for k, v in sweep.orders.items()},
             "monotone": monotone,
         }, ok, "converge: %d entries, monotone=%s" % (len(sweep.entries), ok))

@@ -185,17 +185,17 @@ class SweepReport:
         return all(b < a for a, b in zip(d, d[1:]))
 
 
-def convergence_sweep(spec, z_values, eps_values, grids, rng=None,
-                      iters=40, restarts=3, tol=1e-10, force=False):
+def convergence_sweep(spec, z_values, eps_values, grids, rng=None, tol=1e-10,
+                      force=False):
     """Operator-norm distances between width-eps and limit resolvents.
 
     For every grid in ``grids`` and spectral point in ``z_values``,
-    measures ||R_eps - R_limit|| by power iteration on the (hermitian)
-    difference for each width in ``eps_values``, then fits the decay
+    measures ||R_eps - R_limit|| as the largest |eigenvalue| of the
+    Hermitian difference, with its Ritz residual as the error bar
+    (``spread``), for each width in ``eps_values``, then fits the decay
     order in eps.  ``force`` unlocks z at or above the threshold, as in
     :func:`assemble`.  Returns a SweepReport whose ``orders`` dict maps
-    (level, z) to the fitted log-log slope (NaN when a distance
-    vanishes, e.g. at g = 0).
+    (level, z) to the fitted log-log slope (NaN for a single width).
     """
     z_values = [float(z) for z in z_values]
     eps_values = [float(e) for e in eps_values]
@@ -210,25 +210,18 @@ def convergence_sweep(spec, z_values, eps_values, grids, rng=None,
             for eps in eps_values:
                 stream = rng.spawn(1)[0]
                 asm = LambdaMatrix(grid, spec, z, eps, tol=tol, force=force)
-
-                def difference(f):
-                    return asm.apply(f) - limit.apply(f)
-
                 start = time.perf_counter()
-                dist, spread = gridmod.operator_norm(
-                    difference, difference, grid.shape, rng=stream,
-                    iters=iters, restarts=restarts)
-                elapsed = 1000.0 * (time.perf_counter() - start)
+                dist, spread, applications = gridmod.hermitian_norm(
+                    lambda f: asm.apply(f) - limit.apply(f), grid.shape, stream)
                 dists.append(dist)
                 entries.append(SweepEntry(
                     level=level, npoints=grid.npoints, box=grid.box, z=z,
-                    eps=eps, distance=dist, spread=spread,
-                    iterations=iters * restarts, wallclock_ms=elapsed))
-            if min(dists) > 0.0 and len(dists) > 1:
-                slope = np.polyfit(np.log(eps_values), np.log(dists), 1)[0]
-                orders[(level, z)] = float(slope)
-            else:
-                orders[(level, z)] = float("nan")
+                    eps=eps, distance=dist, spread=spread, iterations=applications,
+                    wallclock_ms=1000.0 * (time.perf_counter() - start)))
+            # every distance is positive: a zero difference raises NoConvergence
+            orders[(level, z)] = (
+                float(np.polyfit(np.log(eps_values), np.log(dists), 1)[0])
+                if len(dists) > 1 else float("nan"))
     return SweepReport(entries=entries, orders=orders)
 
 

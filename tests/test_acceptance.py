@@ -76,8 +76,7 @@ def test_acceptance_03_width_convergence_order():
     for spec, grid, seed in ((SPEC2, Grid(64, 12.8, 2), 3),
                              (SPEC3, Grid(32, 4.0, 3), 4)):
         report = convergence_sweep(spec, [-20.0], widths, [grid],
-                                   rng=np.random.default_rng(seed),
-                                   iters=12, restarts=2)
+                                   rng=np.random.default_rng(seed))
         dists = report.distances(0, -20.0)
         order = report.orders[(0, -20.0)]
         ok = ok and report.monotone(0, -20.0) and order >= 0.9

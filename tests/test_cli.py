@@ -95,8 +95,7 @@ def test_kk_check_forced_above_threshold(tmp_path):
 def test_converge_report(tmp_path):
     cfg = write_config(tmp_path, "\n".join([
         "[grid]", "npoints = 32", "box = 6.4",
-        "[converge]", "z = -20.0", "eps = 0.4, 0.2",
-        "iters = 8", "restarts = 1", "",
+        "[converge]", "z = -20.0", "eps = 0.4, 0.2", "",
     ]))
     out = tmp_path / "reports"
     assert run("converge", "--config", cfg, "--out", str(out)) == 0
@@ -108,13 +107,21 @@ def test_converge_report(tmp_path):
     assert meta["mode_pair"] == ["konno-kuroda", "limit"]
     assert meta["monotone"] == {"0,-20": True}
     assert "0,-20" in meta["orders"]
+    for row, entry in zip(rows, meta["entries"]):
+        # the spread column is the distance's Ritz residual, in the JSON too
+        assert float(row["spread"]) == entry["spread"]
+        assert 0.0 <= entry["spread"] <= 1e-4 * entry["distance"]
+        assert entry["iterations"] > 1
+    again = tmp_path / "again"
+    assert run("converge", "--config", cfg, "--out", str(again)) == 0
+    assert ((again / "converge.csv").read_bytes()
+            == (out / "converge.csv").read_bytes())
 
 
 def test_converge_forced_above_threshold(tmp_path):
     cfg = write_config(tmp_path, "\n".join([
         "[grid]", "npoints = 32", "box = 6.4",
-        "[converge]", "z = -1.0", "eps = 0.4, 0.2",
-        "iters = 4", "restarts = 1", "",
+        "[converge]", "z = -1.0", "eps = 0.4, 0.2", "",
     ]))
     out = tmp_path / "reports"
     # z0 = -2.25, so the sweep's own channel inversions need the unlock too
@@ -289,9 +296,7 @@ def test_thread_count_leaves_csv_bodies_unchanged(tmp_path, command):
 
 
 @pytest.mark.parametrize("command, section, key, value", [
-    ("converge", "converge", "iters", "twelve"),
-    ("converge", "converge", "iters", "0"),
-    ("converge", "converge", "restarts", "0"),
+    ("converge", "converge", "iters", "12"),  # a key that no longer exists
     ("converge", "converge", "tol", "-1"),
     ("kk-check", "kk", "z", "minus"),
     ("kk-check", "kk", "tolerance", "-1"),

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from deltaresolvent.errors import NoConvergence, ShiftTooCloseToSpectrum
 from deltaresolvent.grid import (Grid, fourier_multiply, free_resolvent,
-                                 kinetic_multiplier, lab_axes_from_front,
-                                 lab_axes_to_front,
+                                 hermitian_norm, kinetic_multiplier,
+                                 lab_axes_from_front, lab_axes_to_front,
                                  lowest_eigenvalues, minimum_image_separation,
-                                 operator_norm, pair_frame_adjoint,
+                                 pair_frame_adjoint,
                                  pair_frame_forward, random_band_limited,
                                  shifted_solver, to_momentum)
 from deltaresolvent.system import SystemSpec, enumerate_pairs, frame_weights
@@ -203,21 +204,39 @@ def test_shifted_solver_batch_matches_columns(npoints, box, z):
             1e-12 * np.linalg.norm(alone))
 
 
+@pytest.mark.parametrize("npoints, box, z", [(32, 6.4, -5.0), (128, 12.8, -5.0)])
+def test_shifted_solver_real_and_complex_rhs_agree(npoints, box, z):
+    """At real z a real right-hand side stays real, dense and GMRES, and its
+    solution is the real part of the complex solve."""
+    spec = SystemSpec(masses=(1.0, 2.0), g=1.0)
+    grid = Grid(npoints, box, 2)
+    solve = shifted_solver(build_hamiltonian(grid, spec, 0.8), z)
+    rng = np.random.default_rng(13)
+    re, im = rng.standard_normal((2,) + grid.shape)
+    real = solve(re)
+    assert np.isrealobj(real)
+    both = solve(re + 1j * im)
+    assert np.linalg.norm(both.real - real) <= 1e-8 * np.linalg.norm(real)
+    assert np.linalg.norm(both.imag - solve(im)) <= 1e-8 * np.linalg.norm(real)
+
+
 def test_operator_norm_matches_dense_svd():
+    """The driver's norm of a dense Hermitian matrix lies within its residual
+    of the top singular value."""
     rng = np.random.default_rng(7)
-    mat = rng.standard_normal((40, 40))
-    best, spread = operator_norm(lambda v: mat @ v, lambda v: mat.T @ v,
-                                 (40,), rng=rng, iters=200, restarts=3)
-    exact = np.linalg.svd(mat, compute_uv=False)[0]
-    assert best == pytest.approx(exact, rel=1e-6)
-    assert spread >= 0.0
-    assert best <= exact * (1.0 + 1e-9)  # power iteration approaches from below
+    half = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    mat = half + half.conj().T
+    exact = scipy.linalg.svdvals(mat)[0]
+    assert exact == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(mat))))
+    best, residual, applications = hermitian_norm(lambda v: mat @ v, (40,), rng)
+    assert abs(best - exact) <= residual <= 1e-4 * exact
+    assert applications > 1
 
 
 def test_operator_norm_on_zero_operator():
-    best, spread = operator_norm(lambda v: 0.0 * v, lambda v: 0.0 * v, (8,),
-                                 rng=np.random.default_rng(8))
-    assert best == 0.0
+    """The zero operator leaves ARPACK no Krylov space: the driver raises."""
+    with pytest.raises(NoConvergence):
+        hermitian_norm(lambda v: 0.0 * v, (8,), np.random.default_rng(8))
 
 
 def test_lowest_eigenvalues_on_dense_oracle():
@@ -240,17 +259,26 @@ def test_lowest_eigenvalues_on_dense_oracle():
 def test_lowest_eigenvalues_raises_instead_of_returning_unconverged():
     diag = np.linspace(1.0, 40.0, 40)
     shift = 0.5
+    calls = []
 
     def solve(v):
+        calls.append(v.copy())
         return v / (diag - shift)
 
     exact = lowest_eigenvalues(lambda v: diag * v, solve, 40, shift, steps=60,
                                rng=np.random.default_rng(12))
     assert exact[0] == pytest.approx(1.0, abs=1e-10)
-    # too few steps for the Ritz values to settle
+    # real arithmetic from a start vector drawn from the caller's generator
+    start = np.random.default_rng(12).standard_normal(40)
+    assert np.isrealobj(calls[0])
+    assert np.allclose(calls[0] / np.linalg.norm(calls[0]),
+                       start / np.linalg.norm(start))
+    # too few steps for the Ritz values to settle: steps caps the solves
+    calls.clear()
     with pytest.raises(NoConvergence):
         lowest_eigenvalues(lambda v: diag * v, solve, 40, shift, steps=3,
                            rng=np.random.default_rng(12))
+    assert len(calls) == 3
     # settled Ritz values whose residual against the operator reaches the shift
     with pytest.raises(NoConvergence):
         lowest_eigenvalues(lambda v: 3.0 * diag * v, solve, 40, shift, steps=60,

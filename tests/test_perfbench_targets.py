@@ -24,6 +24,19 @@ def test_tracer_finds_its_targets(monkeypatch):
     assert traced.patched() == []
 
 
+def test_lowest_eigenvalues_keeps_its_solve_parameter():
+    """The tracer counts Lanczos steps by wrapping the argument named ``solve``.
+
+    Under another name it would wrap nothing, and the steps row would read 0
+    without any missing target to show for it.
+    """
+    import inspect
+
+    from deltaresolvent import grid
+
+    assert "solve" in inspect.signature(grid.lowest_eigenvalues).parameters
+
+
 def test_resolvent_keeps_the_names_perfbench_reads():
     """perfbench/tests read these attributes of the resolvent module directly.
 
