@@ -7,7 +7,12 @@ configuration), and the system matrix is
 
     Lambda = 1 - Phi,    Phi_{sigma nu} = g A_sigma R0 A_nu*,
 
-with R0 the free resolvent.  This module provides
+with R0 the free resolvent.  A channel field is stored on the m support
+rows of its coupling map's relative axis only, and in reduced momentum:
+the FFT over the reduced axes runs once at the channel boundary (after
+A on the way in, before A* on the way out), so the same-pair blocks,
+which commute with reduced translations, are slice-wise multiplications
+inside the Neumann iteration.  This module provides
 
   * the exact grid multiplier tau R0 tau* on the reduced configuration
     space (a wrapped class sum over reduced momenta);
@@ -30,6 +35,7 @@ then spectators by ascending particle label); it is what the frame
 transform in the grid module produces.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -299,28 +305,22 @@ def materialize_diagonal_slices(grid, spec, coupling, rfree):
     """Exact per-momentum-slice matrices of one diagonal block T R0 T*.
 
     The block commutes with every reduced-lattice translation, so in the
-    mixed representation (relative position) x (reduced momentum) it is
-    block diagonal with one small Hermitian matrix per momentum
-    multi-index, and nonzero only on the coupling support rows.  Feeding
-    basis vectors concentrated at a single support point (and at the
-    reduced origin) through the block recovers every slice in one pass of
-    the FFT.
-
-    Returns (support indices, matrices of shape reduced-lattice + (m, m)).
+    mixed representation (support row) x (reduced momentum) it is block
+    diagonal with one small Hermitian matrix per momentum multi-index.
+    Feeding basis fields concentrated at a single support row (and at the
+    reduced origin) through the block recovers every slice, returned as
+    reduced-lattice + (m, m), in one pass of the FFT.
     """
-    sup = coupling.support_indices()
-    m = sup.size
-    n = spec.n
-    N = grid.npoints
-    reduced_axes = tuple(range(1, n))
-    mats = np.empty((N,) * (n - 1) + (m, m), dtype=complex)
-    for col, row_index in enumerate(sup):
-        basis = np.zeros((N,) * n, dtype=complex)
-        basis[(row_index,) + (0,) * (n - 1)] = 1.0
+    m, n = coupling.support.size, spec.n
+    reduced = (grid.npoints,) * (n - 1)
+    mats = np.empty(reduced + (m, m), dtype=complex)
+    for col in range(m):
+        basis = np.zeros((m,) + reduced, dtype=complex)
+        basis[(col,) + (0,) * (n - 1)] = 1.0
         image = coupling.forward(rfree(coupling.adjoint(basis)))
-        image_hat = scipy.fft.fftn(image, axes=reduced_axes)
-        mats[..., :, col] = np.moveaxis(image_hat[sup], 0, -1)
-    return sup, mats
+        image = scipy.fft.fftn(image, axes=tuple(range(1, n)))
+        mats[..., :, col] = np.moveaxis(image, 0, -1)
+    return mats
 
 
 def channel_norm(fields):
@@ -336,12 +336,16 @@ class ChannelSystem:
     and Neumann bookkeeping, the channel applications, and the resolvent
     itself: ``apply`` is R0 + g R0 T* (1 - g T R0 T*)^{-1} T R0, inverted
     to ``tol`` (``force`` unlocks z above the threshold).  A subclass
-    supplies its own arithmetic for T through four hooks:
+    supplies its own arithmetic for T through four hooks, on channel
+    fields in reduced momentum (unnormalized FFT over the reduced axes;
+    the Neumann bookkeeping only compares their norms, so its scale
+    cancels) with a batch on trailing axes:
 
-      lift(k, f)               T_k f, a lab field to channel k;
-      drop(k, chi)             T_k* chi, channel k back to a lab field;
-      own(k, chi)              T_k R0 T_k* chi, a same-pair block without g;
-      apply_diag_inverse(fs)   exact inverse of the same-pair blocks.
+      lift(k, f)               T_k f then the FFT, a lab field to channel k;
+      drop(k, chi)             the inverse FFT then T_k*, back to a lab field;
+      own(k, chi)              T_k R0 T_k* chi, a same-pair block without g,
+                               slice-wise in momentum, no FFT;
+      apply_diag_inverse(fs)   exact inverse of the same-pair blocks, the same.
     """
 
     def __init__(self, grid, spec, z, tol, force):
@@ -421,10 +425,11 @@ class LambdaMatrix(ChannelSystem):
     maps otherwise (``mode`` "kk").  The cross-pair coupling goes through
     lab space, so a full application costs one free-resolvent solve
     regardless of the number of pairs.  Each same-pair block is
-    factored once, at first use, as U diag(lam) U* per reduced-momentum
-    slice on the coupling support: in closed form for the limit maps
-    (rank one, the unit window column times the class multiplier) and by
-    one batched eigendecomposition of the materialized slices otherwise.
+    factored once, at first use, per reduced-momentum slice on the
+    coupling support: in closed form for the limit maps (rank one, the
+    unit window column times the class multiplier) and otherwise as the
+    materialized slice matrices, whose batched eigendecomposition
+    U diag(lam) U* gives the inverse as 1 + U diag(g lam/(1 - g lam)) U*.
     The block and its inverse are then slice-wise multiplications.
     """
 
@@ -433,60 +438,60 @@ class LambdaMatrix(ChannelSystem):
         self.eps = None if eps is None else float(eps)
         self.mode = "limit" if eps is None else "kk"
         self.maps = [coupling_map(grid, spec, p, eps) for p in self.pairs]
+        self._reduced_axes = tuple(range(1, spec.n))
         self._diag_cache = None
 
     def lift(self, k, field):
-        return self.maps[k].forward(field)
+        return scipy.fft.fftn(self.maps[k].forward(field), axes=self._reduced_axes)
 
     def drop(self, k, chi):
-        return self.maps[k].adjoint(chi)
+        return self.maps[k].adjoint(scipy.fft.ifftn(chi, axes=self._reduced_axes))
 
     def own(self, k, chi):
-        return self._diag_apply(k, chi, lambda lam: lam, keep=False)
+        return self._diagonal()[k][0](chi)
+
+    def apply_diag_inverse(self, fields):
+        """Exact inverse of the same-pair blocks, channel by channel."""
+        return [f + self._diagonal()[k][1](f) for k, f in enumerate(fields)]
 
     # -- the factored diagonal ------------------------------------------------
 
     def _diagonal(self):
-        """Per pair (support, U, lam) with T_k R0 T_k* = U diag(lam) U* per slice."""
+        """Per pair (block, correction, lam): T_k R0 T_k*, (1 - g T_k R0 T_k*)^-1 - 1
+        (both maps of channel fields) and the block's eigenvalues per slice."""
         if self._diag_cache is None:
-            data = []
-            lead = (1,) * (self.spec.n - 1)
+            g = self.spec.g
+            self._diag_cache = []
             for pair, cmap in zip(self.pairs, self.maps):
                 if self.eps is None:
-                    sup = cmap.support_indices()
-                    unit = math.sqrt(self.grid.h) * cmap.window[sup]
-                    mult = pair_class_multiplier(self.grid, self.spec, pair, self.z)
-                    data.append((sup, unit.reshape(lead + (-1, 1)), mult[..., None]))
+                    unit = math.sqrt(self.grid.h) * cmap.weights
+                    lam = pair_class_multiplier(self.grid, self.spec, pair, self.z)
+                    lam = lam.reshape(-1, 1)
+                    block, correction = (functools.partial(_rank_one, unit, d)
+                                         for d in (lam, g * lam / (1.0 - g * lam)))
                 else:
-                    sup, mats = materialize_diagonal_slices(
-                        self.grid, self.spec, cmap, self.rfree)
+                    mats = materialize_diagonal_slices(self.grid, self.spec, cmap,
+                                                       self.rfree)
+                    mats = mats.reshape((-1,) + mats.shape[-2:])
                     lam, vecs = np.linalg.eigh(mats)
-                    data.append((sup, vecs, lam))
-            self._diag_cache = data
+                    gain = (g * lam / (1.0 - g * lam))[..., None]
+                    block = functools.partial(_slice_matmul, mats)
+                    correction = functools.partial(
+                        _slice_matmul, vecs @ (gain * vecs.conj().swapaxes(-1, -2)))
+                self._diag_cache.append((block, correction, lam))
         return self._diag_cache
 
-    def _diag_apply(self, k, chi, gain, keep):
-        """(chi if keep else 0) + U gain(lam) U* chi, slice by slice."""
-        sup, vecs, lam = self._diagonal()[k]
-        n = self.spec.n
-        axes = tuple(range(1, n))
-        hat = scipy.fft.fftn(chi, axes=axes)
-        batch = (1,) * (hat.ndim - n)
-        vecs = vecs.reshape(vecs.shape[:n - 1] + batch + vecs.shape[-2:])
-        lam = lam.reshape(lam.shape[:-1] + batch + lam.shape[-1:])
-        rows = np.moveaxis(hat[sup], 0, -1)[..., None, :]
-        coeff = (rows @ vecs.conj())[..., 0, :]
-        image = (vecs @ (gain(lam) * coeff)[..., None])[..., 0]
-        out = hat if keep else np.zeros_like(hat)
-        out[sup] += np.moveaxis(image, -1, 0)
-        return scipy.fft.ifftn(out, axes=axes)
 
-    def apply_diag_inverse(self, fields):
-        """Exact inverse of the same-pair blocks, channel by channel."""
-        g = self.spec.g
-        return [self._diag_apply(k, f, lambda lam: g * lam / (1.0 - g * lam),
-                                 keep=True)
-                for k, f in enumerate(fields)]
+def _rank_one(unit, scale, chi):
+    """unit (x) (scale * <unit, chi>) on each flattened reduced-momentum slice."""
+    coeff = (unit @ chi.reshape(unit.size, -1)).reshape(scale.shape[0], -1)
+    return np.multiply.outer(unit, scale * coeff).reshape(chi.shape)
+
+
+def _slice_matmul(mats, chi):
+    """mats[s] @ chi[:, s] on each flattened slice s, the batch axes as columns."""
+    rows = chi.reshape(chi.shape[0], mats.shape[0], -1).transpose(1, 0, 2)
+    return (mats @ rows).transpose(1, 0, 2).reshape(chi.shape)
 
 
 def invert_lambda(lam, fields, tol=1e-10, force=False):

@@ -9,6 +9,7 @@ collision hyperplane as eps shrinks.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.integrate
 
 from . import forms as formsmod
@@ -131,37 +132,46 @@ def build_hamiltonian(grid, spec, eps):
 # machine precision but needs the bump resolved by the grid.
 
 
-class ChainCouplingMap:
-    """A_eps for one pair via frame change + squeeze + profile window."""
+class _SupportRows:
+    """A pair's map whose image is the ``support`` rows of the relative axis,
+    where its profile ``samples`` (kept there as ``weights``) are nonzero."""
 
-    def __init__(self, grid, spec, pair, eps):
-        check_fits_box(grid, eps)
+    def __init__(self, grid, spec, pair, samples):
         self.grid = grid
         self.spec = spec
         self.pair = pair
+        self.support = np.nonzero(samples)[0]
+        self.weights = samples[self.support]
+
+
+class ChainCouplingMap(_SupportRows):
+    """A_eps for one pair via frame change + squeeze + profile window; on the
+    pair frame's relative axis the last two are one (m x N) matrix whose row
+    a is the window at r_a times the trigonometric interpolant at eps r_a."""
+
+    def __init__(self, grid, spec, pair, eps):
+        check_fits_box(grid, eps)
+        super().__init__(grid, spec, pair, renormalized_samples(grid))
         self.eps = float(eps)
         self.alpha, self.beta = sysmod.frame_weights(spec, pair)
-        self.window = renormalized_samples(grid)
+        # Offset by -x[0] so plain FFT coefficients (no centre phase) can be used.
+        pts = self.eps * grid.x[self.support] - grid.x[0]
+        phases = scipy.fft.fft(np.exp(1j * np.outer(pts, grid.p)), axis=1)
+        self._rows = self.weights[:, None] * phases / grid.npoints
+        self._rows_adjoint = self._rows.conj().T.copy()
 
     def forward(self, lab_field):
         f = gridmod.lab_axes_to_front(lab_field, self.pair)
         f = gridmod.pair_frame_forward(self.grid, f, self.alpha, self.beta)
-        f = gridmod.dilation_eval(self.grid, f, self.eps)
-        w = self.window.reshape((-1,) + (1,) * (f.ndim - 1))
-        return w * f
+        return np.tensordot(self._rows, f, axes=(1, 0))
 
     def adjoint(self, chi_field):
-        w = self.window.reshape((-1,) + (1,) * (chi_field.ndim - 1))
-        f = gridmod.dilation_eval_adjoint(self.grid, w * chi_field, self.eps)
+        f = np.tensordot(self._rows_adjoint, chi_field, axes=(1, 0))
         f = gridmod.pair_frame_adjoint(self.grid, f, self.alpha, self.beta)
         return gridmod.lab_axes_from_front(f, self.pair)
 
-    def support_indices(self):
-        """First-axis indices the coupled fields can live on."""
-        return np.nonzero(self.window)[0]
 
-
-class ShearCouplingMap:
+class ShearCouplingMap(_SupportRows):
     """A_eps for one pair via the exact index shear; needs a resolved bump."""
 
     def __init__(self, grid, spec, pair, eps):
@@ -170,42 +180,31 @@ class ShearCouplingMap:
             raise UnresolvedBump(
                 "shear factorization needs the scaled bump resolved by the grid"
             )
-        self.grid = grid
-        self.spec = spec
-        self.pair = pair
-        self.eps = float(eps)
         sep = gridmod.minimum_image_separation(grid)[:, 0]
         # wrapped separation value for difference index d at member-j index 0;
         # by translation invariance the same for every member-j index
-        self.root = np.sqrt(DEFAULT_PROFILE.scaled_potential(sep, eps))
-        self._idx = np.arange(grid.npoints)
+        super().__init__(grid, spec, pair,
+                         np.sqrt(DEFAULT_PROFILE.scaled_potential(sep, eps)))
+        self.eps = float(eps)
+        q = np.arange(grid.npoints)
+        # lab (member-i, member-j) indices of the sheared point (d, q)
+        self._gather = ((self.support[:, None] + q) % grid.npoints, q[None, :])
 
     def forward(self, lab_field):
-        f = gridmod.lab_axes_to_front(lab_field, self.pair)
-        N = self.grid.npoints
-        d = self._idx[:, None]
-        q = self._idx[None, :]
-        sheared = f[(d + q) % N, q]
-        w = self.root.reshape((N,) + (1,) * (sheared.ndim - 1))
+        sheared = gridmod.lab_axes_to_front(lab_field, self.pair)[self._gather]
+        w = self.weights.reshape((-1,) + (1,) * (sheared.ndim - 1))
         return w * sheared
 
     def adjoint(self, chi_field):
-        N = self.grid.npoints
-        w = self.root.reshape((N,) + (1,) * (chi_field.ndim - 1))
+        w = self.weights.reshape((-1,) + (1,) * (chi_field.ndim - 1))
         g = w * chi_field
-        out = np.zeros_like(g)
-        d = self._idx[:, None]
-        q = self._idx[None, :]
-        # scatter back: adjoint of the gather permutation
-        out[(d + q) % N, q] = g[d, q]
+        # scatter back: adjoint of the gather
+        out = np.zeros((self.grid.npoints,) + g.shape[1:], dtype=g.dtype)
+        out[self._gather] = g
         return gridmod.lab_axes_from_front(out, self.pair)
 
-    def support_indices(self):
-        """First-axis indices the coupled fields can live on."""
-        return np.nonzero(self.root)[0]
 
-
-class LimitCouplingMap:
+class LimitCouplingMap(_SupportRows):
     """The eps -> 0 coupling: profile window tensor hyperplane restriction.
 
     The hyperplane r = 0 holds the grid points where both pair members sit
@@ -215,24 +214,17 @@ class LimitCouplingMap:
     """
 
     def __init__(self, grid, spec, pair):
-        self.grid = grid
-        self.spec = spec
-        self.pair = pair
-        self.window = renormalized_samples(grid)
+        super().__init__(grid, spec, pair, renormalized_samples(grid))
 
     def forward(self, lab_field):
         diag = formsmod.apply_trace(self.grid, self.spec, self.pair, lab_field)
-        w = self.window.reshape((-1,) + (1,) * diag.ndim)
+        w = self.weights.reshape((-1,) + (1,) * diag.ndim)
         return w * diag[None]
 
     def adjoint(self, chi_field):
-        w = self.window.reshape((-1,) + (1,) * (chi_field.ndim - 1))
+        w = self.weights.reshape((-1,) + (1,) * (chi_field.ndim - 1))
         return formsmod.diagonal_scatter(self.grid, self.spec, self.pair,
                                          np.sum(w * chi_field, axis=0))
-
-    def support_indices(self):
-        """First-axis indices the coupled fields can live on."""
-        return np.nonzero(self.window)[0]
 
 
 def coupling_map(grid, spec, pair, eps=None):

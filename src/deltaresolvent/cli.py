@@ -27,6 +27,8 @@ import argparse
 import configparser
 import contextlib
 import csv
+import ctypes
+import glob
 import json
 import os
 import sys
@@ -370,7 +372,10 @@ def _default_block_rows():
     shared = blocksmod.OffDiagonalBlock(
         grid3, spec3, sysmod.enumerate_pairs(spec3)[0],
         sysmod.enumerate_pairs(spec3)[1], z)
-    norm = shared.norm()
+    # LAPACK's threaded tridiagonal reduction sums in an order that follows
+    # the BLAS thread count; one thread keeps blocks.csv independent of it.
+    with _blas_threads(1):
+        norm = shared.norm()
     bound = shared.claimed_bound()
     rows.append(("(1,2)", "(1,3)", "", norm, bound, norm / bound))
     return rows
@@ -539,26 +544,39 @@ _HANDLERS = {
 }
 
 
-def _thread_cap(args):
-    """Context capping FFT workers and BLAS threads at ``args.threads``.
+def _bundled_openblas():
+    """(get, set) thread controls of the OpenBLAS copies numpy (64-bit-integer
+    names) and scipy bundle; empty when either copy or a symbol is missing."""
+    controls = []
+    for package, suffix in ((np, "64_"), (scipy, "")):
+        libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                            package.__name__ + ".libs", "libscipy_openblas*")
+        try:
+            lib = ctypes.CDLL(glob.glob(libs)[0])
+            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+            put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+        except (IndexError, OSError, AttributeError):
+            return []
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        controls.append((get, put))
+    return controls
 
-    FFT workers are set through scipy.fft; the BLAS cap needs threadpoolctl.
-    Leaves in ``args.blas_threads`` the BLAS cap in force (None if none).
-    """
-    stack = contextlib.ExitStack()
-    args.blas_threads = None
-    if args.threads is None:
-        return stack
-    stack.enter_context(scipy.fft.set_workers(args.threads))
+
+@contextlib.contextmanager
+def _blas_threads(threads):
+    """BLAS threads set to ``threads`` inside (None: as they are), restored on
+    exit; yields the count read back (None without controls or agreement)."""
+    blas = _bundled_openblas()
+    before = [get() for get, _ in blas]
     try:
-        import threadpoolctl
-    except ImportError:
-        print("warning: --threads %d not applied to BLAS: threadpoolctl is "
-              "not installed" % args.threads, file=sys.stderr)
-        return stack
-    stack.enter_context(threadpoolctl.threadpool_limits(limits=args.threads))
-    args.blas_threads = args.threads
-    return stack
+        for _, put in blas if threads is not None else ():
+            put(threads)
+        counts = {get() for get, _ in blas}
+        yield counts.pop() if len(counts) == 1 else None
+    finally:
+        for (_, put), count in zip(blas, before):
+            put(count)
 
 
 def build_parser():
@@ -575,8 +593,9 @@ def build_parser():
     common.add_argument("--seed", type=int, default=0, metavar="U64",
                         help="master RNG seed (default 0)")
     common.add_argument("--threads", type=int, default=None, metavar="N",
-                        help="FFT worker threads; also caps BLAS threads "
-                             "when threadpoolctl is installed")
+                        help="FFT worker threads and BLAS threads (the "
+                             "OpenBLAS bundled with numpy and scipy); default: "
+                             "the environment's counts")
     common.add_argument("--force", action="store_true",
                         help="unlock z at or above the inversion threshold "
                              "(unsupported; labeled in output metadata)")
@@ -599,7 +618,9 @@ def main(argv=None):
     handler = _HANDLERS[args.command]
     try:
         cfg = load_config(args.config)
-        with _thread_cap(args):
+        workers = scipy.fft.get_workers() if args.threads is None else args.threads
+        with scipy.fft.set_workers(workers), \
+                _blas_threads(args.threads) as args.blas_threads:
             start = time.perf_counter()
             report = handler(args, cfg)
             _write_report(args, 1000.0 * (time.perf_counter() - start), report)

@@ -17,9 +17,6 @@ from .errors import NoConvergence, ShiftTooCloseToSpectrum
 # Upper limit on total grid points for dense-matrix code paths.
 DENSE_LIMIT = 4096
 
-# Chunk budget (bytes) for the frame-change gather buffers.
-_CHUNK_BYTES = 1 << 25
-
 # Restart cycles a shifted GMRES solve may take before it raises.
 _GMRES_MAXITER = 300
 
@@ -45,6 +42,7 @@ class Grid:
         self.h = self.box / npoints
         self.x = -self.box / 2 + self.h * np.arange(npoints)
         self.p = 2 * np.pi * scipy.fft.fftfreq(npoints, d=self.h)
+        self._frames = {}  # pair-frame phases per (alpha, beta), see _frame_phases
 
     @property
     def shape(self):
@@ -152,8 +150,28 @@ def random_band_limited(grid, rng, batch=()):
 
 
 # ---------------------------------------------------------------------------
-# Pair-frame change and dilation (band-limited, exact adjoints)
+# Pair-frame change (band-limited, exact adjoint)
 # ---------------------------------------------------------------------------
+
+
+def _frame_phases(grid, alpha, beta):
+    """(gather, scatter, mixer, adjoint) of the pair-frame change, built once per grid.
+
+    gather takes [k1, k2] to [class K = (k1 + k2) mod N, k1] and scatter
+    back; per class mixer[K, a, k1] = exp(i (alpha p_k1 - beta p_(K - k1)) x_a)
+    and its conjugate transpose take 32 N^3 bytes, held by the grid.
+    """
+    key = (float(alpha), float(beta))
+    if key not in grid._frames:
+        K = np.arange(grid.npoints)
+        idx = (K[:, None] - K[None, :]) % grid.npoints          # [K, k1] -> k2
+        V = np.exp(1j * alpha * np.outer(grid.x, grid.p))        # [a, k1]
+        W = np.exp(-1j * beta * np.outer(grid.x, grid.p))        # [a, k2]
+        mixer = V[None, :, :] * W[:, idx].transpose(1, 0, 2)
+        scatter = ((K[:, None] + K) % grid.npoints, K[:, None])
+        grid._frames[key] = ((K[None, :], idx), scatter, mixer,
+                             np.ascontiguousarray(mixer.conj().transpose(0, 2, 1)))
+    return grid._frames[key]
 
 
 def pair_frame_forward(grid, field, alpha, beta):
@@ -166,20 +184,9 @@ def pair_frame_forward(grid, field, alpha, beta):
     """
     N = grid.npoints
     rest = field.shape[2:]
+    gather, _, mixer, _ = _frame_phases(grid, alpha, beta)
     ph = scipy.fft.fft2(field.reshape(N, N, -1), axes=(0, 1)) / N ** 2
-    K = np.arange(N)
-    idx = (K[:, None] - K[None, :]) % N                      # [K, k1] -> k2
-    phg = ph[np.arange(N)[None, :], idx]                     # [K, k1, rest]
-    V = np.exp(1j * alpha * np.outer(grid.x, grid.p))        # [a, k1]
-    W = np.exp(-1j * beta * np.outer(grid.x, grid.p))        # [a, k2]
-    nrest = phg.shape[-1]
-    out = np.empty((N, N, nrest), dtype=complex)             # [a, K, rest]
-    step = max(1, _CHUNK_BYTES // (16 * N * N))
-    for lo in range(0, N, step):
-        hi = min(N, lo + step)
-        # phase matrix per momentum class: [Kc, a, k1]
-        mixer = V[None, :, :] * W[:, idx[lo:hi]].transpose(1, 0, 2)
-        out[:, lo:hi] = np.matmul(mixer, phg[lo:hi]).transpose(1, 0, 2)
+    out = np.matmul(mixer, ph[gather]).transpose(1, 0, 2)    # [a, K, rest]
     out = N * scipy.fft.ifft(out, axis=1)
     return out.reshape((N, N) + rest)
 
@@ -188,43 +195,11 @@ def pair_frame_adjoint(grid, field, alpha, beta):
     """Exact discrete adjoint of :func:`pair_frame_forward`."""
     N = grid.npoints
     rest = field.shape[2:]
+    _, scatter, _, adjoint = _frame_phases(grid, alpha, beta)
     ct = scipy.fft.fft(field.reshape(N, N, -1), axis=1)         # adjoint of N*ifft
-    K = np.arange(N)
-    idx = (K[:, None] - K[None, :]) % N                      # [K, k1] -> k2
-    V = np.exp(1j * alpha * np.outer(grid.x, grid.p))
-    W = np.exp(-1j * beta * np.outer(grid.x, grid.p))
-    nrest = ct.shape[-1]
-    mixed = np.empty((N, N, nrest), dtype=complex)           # [K, k1, rest]
-    step = max(1, _CHUNK_BYTES // (16 * N * N))
-    for lo in range(0, N, step):
-        hi = min(N, lo + step)
-        mixer = V.conj()[None, :, :] * W.conj()[:, idx[lo:hi]].transpose(1, 0, 2)
-        mixed[lo:hi] = np.matmul(
-            mixer.transpose(0, 2, 1), ct[:, lo:hi].transpose(1, 0, 2)
-        )
-    # undo the class gather: [k1, k2, rest] from class (k1 + k2) mod N
-    sumidx = (K[:, None] + K[None, :]) % N
-    pht = mixed[sumidx, K[:, None], :]
-    out = scipy.fft.ifft2(pht, axes=(0, 1))
+    mixed = np.matmul(adjoint, ct.transpose(1, 0, 2))        # [K, k1, rest]
+    out = scipy.fft.ifft2(mixed[scatter], axes=(0, 1))       # undo the class gather
     return out.reshape((N, N) + rest)
-
-
-def _dilation_phases(grid, eps):
-    # Offset by -x[0] so plain FFT coefficients (no centre phase) can be used.
-    pts = eps * grid.x - grid.x[0]
-    return np.exp(1j * np.outer(pts, grid.p))
-
-
-def dilation_eval(grid, field, eps):
-    """Evaluate a field at the squeezed points eps*r along axis 0 (no amplitude factor)."""
-    ph = scipy.fft.fft(field, axis=0) / grid.npoints
-    T = _dilation_phases(grid, eps)
-    return np.tensordot(T, ph, axes=(1, 0))
-
-
-def dilation_eval_adjoint(grid, field, eps):
-    T = _dilation_phases(grid, eps)
-    return scipy.fft.ifft(np.tensordot(T.conj().T, field, axes=(1, 0)), axis=0)
 
 
 def lab_axes_to_front(field, pair):

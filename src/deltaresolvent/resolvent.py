@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.optimize
 
 from . import forms as formsmod
@@ -74,35 +75,41 @@ class TraceAssembly(ChannelSystem):
     """Reduced-space resolvent through the hyperplane-trace channels.
 
     The channel matrix here is 1 - g (trace_sigma R0 trace_nu*); its
-    diagonal is an exact per-momentum-class multiplier, so inversion
-    reuses the same Neumann driver as the coupled-channel route, with
-    the off-diagonal part applied through the laboratory grid.  A final
-    residual check guards the weaker a priori contraction bookkeeping.
+    diagonal is an exact per-momentum-class multiplier (a plain product on
+    the reduced-momentum channels), so inversion reuses the same Neumann
+    solver as the coupled-channel route, with the off-diagonal part
+    applied through the laboratory grid.  A final residual check guards
+    the weaker a priori contraction bookkeeping.
     """
 
     mode = "theta"
 
     def __init__(self, grid, spec, z, tol=1e-10, force=False):
         super().__init__(grid, spec, z, tol, force)
-        self.multipliers = [pair_class_multiplier(grid, spec, p, self.z)
-                            for p in self.pairs]
+        # per pair and flattened reduced momentum: the block and its inverse
+        mults = [pair_class_multiplier(grid, spec, p, self.z).reshape(-1, 1)
+                 for p in self.pairs]
+        self._diagonal = [(m, 1.0 / (1.0 - spec.g * m)) for m in mults]
+        self._reduced_axes = tuple(range(spec.n - 1))
         self.last_residual = None
 
     # -- channel-space pieces -------------------------------------------------
 
     def lift(self, k, field):
-        return formsmod.apply_trace(self.grid, self.spec, self.pairs[k], field)
+        trace = formsmod.apply_trace(self.grid, self.spec, self.pairs[k], field)
+        return scipy.fft.fftn(trace, axes=self._reduced_axes)
 
     def drop(self, k, chi):
-        return formsmod.trace_adjoint(self.grid, self.spec, self.pairs[k], chi)
+        reduced = scipy.fft.ifftn(chi, axes=self._reduced_axes)
+        return formsmod.trace_adjoint(self.grid, self.spec, self.pairs[k], reduced)
 
     def own(self, k, chi):
-        return gridmod.fourier_multiply(self.multipliers[k], chi)
+        mult = self._diagonal[k][0]
+        return (mult * chi.reshape(mult.shape[0], -1)).reshape(chi.shape)
 
     def apply_diag_inverse(self, fields):
-        g = self.spec.g
-        return [gridmod.fourier_multiply(1.0 / (1.0 - g * m), f)
-                for f, m in zip(fields, self.multipliers)]
+        return [(inv * f.reshape(inv.shape[0], -1)).reshape(f.shape)
+                for f, (_, inv) in zip(fields, self._diagonal)]
 
     def solve_channels(self, fields):
         solution = invert_lambda(self, fields, tol=self.tol, force=self.force)

@@ -20,14 +20,17 @@ SPEC2 = SystemSpec(masses=(1.0, 1.0), g=1.0)
 PAIR2 = enumerate_pairs(SPEC2)[0]
 
 
-def random_channels(lam, rng):
+def channel_shape(lam, k):
     # trace channels live on the reduced lattice, coupling-map channels
-    # on the full one (relative coordinate first)
-    shape = lam.grid.shape
-    if isinstance(lam, TraceAssembly):
-        shape = shape[1:]
-    return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            for _ in lam.pairs]
+    # on the map's support rows of the relative coordinate times it
+    rows = () if isinstance(lam, TraceAssembly) else (lam.maps[k].support.size,)
+    return rows + lam.grid.shape[1:]
+
+
+def random_channels(lam, rng):
+    return [rng.standard_normal(channel_shape(lam, k))
+            + 1j * rng.standard_normal(channel_shape(lam, k))
+            for k in range(len(lam.pairs))]
 
 
 def test_class_multiplier_is_exact_grid_identity():
@@ -270,7 +273,7 @@ def test_lambda_diag_inverse_roundtrip_limit_and_width():
 
 
 def test_factored_own_block_matches_lab_round_trip():
-    """T R0 T* from the cached factorization equals forward(rfree(adjoint(chi)))."""
+    """T R0 T* from the cached factorization equals lift(rfree(drop(chi)))."""
     spec = SystemSpec(masses=(1.0, 2.0, 0.5), g=1.0)
     grid = Grid(16, 3.2, 3)
     systems = [LambdaMatrix(grid, spec, -20.0),
@@ -280,10 +283,10 @@ def test_factored_own_block_matches_lab_round_trip():
         "LimitCouplingMap", "ChainCouplingMap", "ShearCouplingMap"]
     rng = np.random.default_rng(10)
     for lam in systems:
-        shape = grid.shape + (2,)
-        for k, cmap in enumerate(lam.maps):
+        for k in range(len(lam.maps)):
+            shape = channel_shape(lam, k) + (2,)
             chi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            ref = cmap.forward(lam.rfree(cmap.adjoint(chi)))
+            ref = lam.lift(k, lam.rfree(lam.drop(k, chi)))
             gap = np.max(np.abs(lam.own(k, chi) - ref)) / np.max(np.abs(ref))
             assert gap <= 1e-12
 

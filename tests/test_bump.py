@@ -7,10 +7,12 @@ from deltaresolvent.bump import (BumpProfile, ChainCouplingMap, DEFAULT_PROFILE,
                                  renormalized_samples, resolution_ok,
                                  sampled_pair_potential)
 from deltaresolvent.errors import PotentialOverflowsBox, UnresolvedBump
-from deltaresolvent.grid import (Grid, dilation_eval, dilation_eval_adjoint,
-                                 random_band_limited)
+from deltaresolvent.forms import apply_trace, diagonal_scatter
+from deltaresolvent.grid import (Grid, lab_axes_from_front, lab_axes_to_front,
+                                 minimum_image_separation, pair_frame_adjoint,
+                                 pair_frame_forward, random_band_limited)
 from deltaresolvent.resolvent import FactoredAssembly
-from deltaresolvent.system import SystemSpec, enumerate_pairs
+from deltaresolvent.system import SystemSpec, enumerate_pairs, frame_weights
 
 # quadrature values for the default profile, frozen ahead of time
 SQUARED_MASS = 1.0
@@ -65,26 +67,104 @@ def test_renormalized_samples_close_grid_quadrature():
     assert np.max(np.abs(v - raw)) < 1e-3 * np.max(raw)
 
 
-def test_dilation_is_isometric_on_localized_fields():
-    """The squeeze preserves the norm of fields living inside the window."""
+def test_chain_map_samples_the_pair_frame_field_at_squeezed_points():
+    """Row a of the chain map is the window at r_a times the field at eps * r_a.
+
+    Equal masses put the pair frame at r = x1 - x2, R = (x1 + x2)/2, so a
+    lab field G(x1 - x2) H((x1 + x2)/2) has a closed-form image; the
+    squeeze carries no amplitude factor.
+    """
+    spec = SystemSpec(masses=(1.0, 1.0), g=1.0)
+    pair = enumerate_pairs(spec)[0]
     grid = Grid(128, 12.8, 2)
-    r = grid.x[:, None]
-    s = grid.x[None, :]
-    f = np.exp(-r ** 2 - 0.5 * s ** 2) + 0.0j
-    eps = 0.5
-    df = np.sqrt(eps) * dilation_eval(grid, f, eps)
-    assert grid.norm(df) == pytest.approx(grid.norm(f), rel=1e-6)
+    xi = grid.x[:, None]
+    xj = grid.x[None, :]
+    f = np.exp(-0.5 * (xi - xj) ** 2 - ((xi + xj) / 2) ** 2) + 0.0j
+    for eps in (0.5, 0.1):
+        cmap = ChainCouplingMap(grid, spec, pair, eps)
+        r = grid.x[cmap.support][:, None]
+        expected = (cmap.weights[:, None] * np.exp(-0.5 * (eps * r) ** 2)
+                    * np.exp(-grid.x[None, :] ** 2))
+        assert np.max(np.abs(cmap.forward(f) - expected)) < 1e-10 * np.max(expected)
 
 
-def test_dilation_adjoint_is_exact():
-    grid = Grid(128, 12.8, 2)
-    rng = np.random.default_rng(0)
-    f = random_band_limited(grid, rng)
-    g = random_band_limited(grid, rng)
-    eps = 0.5
-    lhs = np.vdot(np.sqrt(eps) * dilation_eval(grid, f, eps), g)
-    rhs = np.vdot(f, np.sqrt(eps) * dilation_eval_adjoint(grid, g, eps))
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+def _full_rows_forward(cmap, f):
+    """Each map's full-row position-space composition, all N relative rows."""
+    grid, spec, pair = cmap.grid, cmap.spec, cmap.pair
+    N = grid.npoints
+    front = lab_axes_to_front(f, pair)
+    if isinstance(cmap, LimitCouplingMap):
+        window = renormalized_samples(grid)
+        trace = apply_trace(grid, spec, pair, f)
+        return window.reshape((-1,) + (1,) * trace.ndim) * trace[None]
+    if isinstance(cmap, ShearCouplingMap):
+        d, q = np.arange(N)[:, None], np.arange(N)[None, :]
+        sheared = front[(d + q) % N, q]
+        root = np.sqrt(DEFAULT_PROFILE.scaled_potential(
+            minimum_image_separation(grid)[:, 0], cmap.eps))
+        return root.reshape((-1,) + (1,) * (sheared.ndim - 1)) * sheared
+    # chain: pair frame, then the dilation (trigonometric interpolation of
+    # the relative axis at eps * r), then the window
+    framed = pair_frame_forward(grid, front, *frame_weights(spec, pair))
+    phases = np.exp(1j * np.outer(cmap.eps * grid.x - grid.x[0], grid.p))
+    squeezed = np.tensordot(phases, np.fft.fft(framed, axis=0) / N, axes=(1, 0))
+    window = renormalized_samples(grid)
+    return window.reshape((-1,) + (1,) * (squeezed.ndim - 1)) * squeezed
+
+
+def _full_rows_adjoint(cmap, chi):
+    """Adjoint of :func:`_full_rows_forward` on a field over all N rows."""
+    grid, spec, pair = cmap.grid, cmap.spec, cmap.pair
+    N = grid.npoints
+    if isinstance(cmap, LimitCouplingMap):
+        window = renormalized_samples(grid)
+        w = window.reshape((-1,) + (1,) * (chi.ndim - 1))
+        return diagonal_scatter(grid, spec, pair, np.sum(w * chi, axis=0))
+    if isinstance(cmap, ShearCouplingMap):
+        root = np.sqrt(DEFAULT_PROFILE.scaled_potential(
+            minimum_image_separation(grid)[:, 0], cmap.eps))
+        d, q = np.arange(N)[:, None], np.arange(N)[None, :]
+        out = np.zeros_like(chi)
+        out[(d + q) % N, q] = root.reshape((-1,) + (1,) * (chi.ndim - 1)) * chi
+        return lab_axes_from_front(out, pair)
+    window = renormalized_samples(grid)
+    phases = np.exp(1j * np.outer(cmap.eps * grid.x - grid.x[0], grid.p))
+    w = window.reshape((-1,) + (1,) * (chi.ndim - 1))
+    unsqueezed = np.fft.ifft(np.tensordot(phases.conj().T, w * chi, axes=(1, 0)),
+                             axis=0)
+    framed = pair_frame_adjoint(grid, unsqueezed, *frame_weights(spec, pair))
+    return lab_axes_from_front(framed, pair)
+
+
+@pytest.mark.parametrize("masses", [(1.0, 2.0), (1.0, 2.0, 0.5)], ids=["n2", "n3"])
+def test_support_rows_match_the_full_row_composition(masses):
+    """forward is the full-row composition at the support rows; adjoint is the
+    full-row adjoint of the zero-padded embedding."""
+    spec = SystemSpec(masses=masses, g=1.0)
+    grid = Grid(16, 3.2, spec.n)
+    N = grid.npoints
+    rng = np.random.default_rng(11)
+    batch = (2,)
+    for pair in enumerate_pairs(spec):
+        maps = [LimitCouplingMap(grid, spec, pair),
+                ChainCouplingMap(grid, spec, pair, 0.2),
+                ShearCouplingMap(grid, spec, pair, 0.8)]
+        for cmap in maps:
+            f = (rng.standard_normal(grid.shape + batch)
+                 + 1j * rng.standard_normal(grid.shape + batch))
+            ref = _full_rows_forward(cmap, f)
+            assert np.all(ref[np.setdiff1d(np.arange(N), cmap.support)] == 0.0)
+            assert _relative_gap(cmap.forward(f), ref[cmap.support]) <= 1e-14
+            shape = (cmap.support.size,) + grid.shape[1:] + batch
+            chi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            embedded = np.zeros((N,) + shape[1:], dtype=complex)
+            embedded[cmap.support] = chi
+            assert _relative_gap(cmap.adjoint(chi),
+                                 _full_rows_adjoint(cmap, embedded)) <= 1e-14
+
+
+def _relative_gap(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
 def test_sampled_potential_overflow_guard():
@@ -177,7 +257,8 @@ def test_coupling_map_adjoints(masses):
                  ShearCouplingMap(grid, spec, pair, 0.8),
                  LimitCouplingMap(grid, spec, pair)):
         f = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        chi = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        shape = (cmap.support.size,) + grid.shape[1:]
+        chi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         lhs = np.vdot(chi, cmap.forward(f))
         rhs = np.vdot(cmap.adjoint(chi), f)
         assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -207,8 +288,6 @@ def test_chain_form_narrows_onto_trace_pairing():
     route, so this weak statement (not pointwise agreement) is the
     contract.
     """
-    from deltaresolvent.forms import apply_trace
-
     spec = SystemSpec(masses=(1.0, 1.0), g=1.0)
     pair = enumerate_pairs(spec)[0]
     grid = Grid(64, 12.8, 2)

@@ -1,6 +1,5 @@
 import csv
 import json
-import sys
 
 import pytest
 
@@ -270,13 +269,13 @@ def test_argument_validation(tmp_path, capsys):
 
 def test_thread_cap_not_applied_is_recorded_as_null(tmp_path, capsys,
                                                    monkeypatch):
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    from deltaresolvent import cli
+
+    monkeypatch.setattr(cli, "_bundled_openblas", lambda: [])  # symbols missing
     plain, capped = tmp_path / "plain", tmp_path / "capped"
     assert run("kernels", "--out", str(plain)) == 0
-    assert capsys.readouterr().err == ""
     assert run("kernels", "--threads", "2", "--out", str(capped)) == 0
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "--threads 2 not applied" in err
+    assert capsys.readouterr().err == ""
     meta = read_json(capped / "kernels.json")
     assert meta["threads"] == 2  # FFT workers, set through scipy.fft
     assert meta["blas_threads"] is None
@@ -285,14 +284,36 @@ def test_thread_cap_not_applied_is_recorded_as_null(tmp_path, capsys,
             == (plain / "kernels.csv").read_bytes())
 
 
-@pytest.mark.parametrize("command", ["kernels", "forms"])
-def test_thread_count_leaves_csv_bodies_unchanged(tmp_path, command):
+def test_blas_threads_are_capped_read_back_and_restored(tmp_path):
+    from deltaresolvent.cli import _bundled_openblas
+
+    controls = _bundled_openblas()
+    if not controls:
+        pytest.skip("numpy/scipy do not bundle OpenBLAS here")
+    before = [get() for get, _ in controls]
+    assert run("kernels", "--threads", "1", "--out", str(tmp_path)) == 0
+    assert read_json(tmp_path / "kernels.json")["blas_threads"] == 1
+    assert [get() for get, _ in controls] == before
+
+
+@pytest.mark.parametrize("command, tables", [
+    ("kernels", ("kernels.csv",)),
+    ("forms", ("forms.csv",)),
+    ("bounds", ("bounds.csv", "blocks.csv")),
+], ids=["kernels", "forms", "bounds"])
+def test_thread_count_leaves_csv_bodies_unchanged(tmp_path, command, tables):
+    """blocks.csv holds a LAPACK eigenvalue whose last digits follow the BLAS
+    thread count, so bounds computes it at one thread whatever --threads says."""
+    cfg = write_config(tmp_path, "[bounds]\nsamples = 100000\n")
     one, two = tmp_path / "one", tmp_path / "two"
-    assert run(command, "--threads", "1", "--out", str(one)) == 0
-    assert run(command, "--threads", "2", "--out", str(two)) == 0
-    assert read_json(two / (command + ".json"))["threads"] == 2
-    assert ((one / (command + ".csv")).read_bytes()
-            == (two / (command + ".csv")).read_bytes())
+    for threads, out in (("1", one), ("2", two)):
+        assert run(command, "--config", cfg, "--threads", threads,
+                   "--out", str(out)) == 0
+    meta = read_json(two / (command + ".json"))
+    assert meta["threads"] == 2
+    assert meta["blas_threads"] in (2, None)
+    for table in tables:
+        assert (one / table).read_bytes() == (two / table).read_bytes()
 
 
 @pytest.mark.parametrize("command, section, key, value", [

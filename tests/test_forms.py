@@ -35,7 +35,10 @@ def _relative_gap(a, b):
 @pytest.mark.parametrize("spec", [SystemSpec(masses=(1.0, 2.0), g=1.0), SPEC3],
                          ids=["n2", "n3"])
 def test_diagonal_gather_matches_pair_frame_row(spec):
-    """Trace and limit map (gather/scatter) against the spectral pair frame at r = 0."""
+    """Trace and limit map (gather/scatter) against the spectral pair frame at r = 0.
+
+    The limit map's support rows all carry the r = 0 row, weighted by the window.
+    """
     grid = Grid(16, 3.2, spec.n)
     N = grid.npoints
     rng = np.random.default_rng(9)
@@ -50,7 +53,7 @@ def test_diagonal_gather_matches_pair_frame_row(spec):
         front = lab_axes_to_front(f, pair)
         row = pair_frame_forward(grid, front, alpha, beta)[N // 2]
         assert _relative_gap(apply_trace(grid, spec, pair, f), row) <= 1e-14
-        w = cmap.window.reshape((-1,) + (1,) * row.ndim)
+        w = cmap.weights.reshape((-1,) + (1,) * row.ndim)
         assert _relative_gap(cmap.forward(f), w * row[None]) <= 1e-14
 
         embedded = np.zeros((N,) + y.shape, dtype=complex)

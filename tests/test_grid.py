@@ -101,20 +101,24 @@ def test_random_band_limited_is_normalized():
 
 
 def test_pair_frame_forward_matches_pointwise_formula():
-    """Spectral frame change equals direct evaluation for a smooth field."""
-    spec = SystemSpec(masses=(1.0, 3.0), g=1.0)
-    pair = enumerate_pairs(spec)[0]
-    alpha, beta = frame_weights(spec, pair)
+    """Spectral frame change equals direct evaluation for a smooth field.
+
+    The frame weights alternate on one grid, so each call must use the
+    phases cached for its own (alpha, beta).
+    """
     grid = Grid(64, 25.6, 2)
     xi = grid.x[:, None]
     xj = grid.x[None, :]
     f = np.exp(-(xi ** 2) - 0.5 * (xj - 0.3) ** 2)
-    out = pair_frame_forward(grid, f, alpha, beta)
     r = grid.x[:, None]
     R = grid.x[None, :]
-    expected = np.exp(-((R + alpha * r) ** 2) - 0.5 * (R - beta * r - 0.3) ** 2)
-    # limited by the Gaussian's own spectral tail at this resolution
-    assert np.max(np.abs(out - expected)) < 1e-6
+    for masses in ((1.0, 3.0), (3.0, 1.0), (1.0, 3.0)):
+        spec = SystemSpec(masses=masses, g=1.0)
+        alpha, beta = frame_weights(spec, enumerate_pairs(spec)[0])
+        out = pair_frame_forward(grid, f, alpha, beta)
+        expected = np.exp(-((R + alpha * r) ** 2) - 0.5 * (R - beta * r - 0.3) ** 2)
+        # limited by the Gaussian's own spectral tail at this resolution
+        assert np.max(np.abs(out - expected)) < 1e-6
 
 
 def test_pair_frame_adjoint_is_the_adjoint():

@@ -48,3 +48,59 @@ def test_resolvent_keeps_the_names_perfbench_reads():
     assert resolvent.invert_lambda is blocks.invert_lambda
     assert resolvent.build_hamiltonian is bump.build_hamiltonian
     assert resolvent.FactoredAssembly is blocks.LambdaMatrix
+
+
+def _count_calls(monkeypatch, owner, name, log):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        log.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_chain_map_calls_the_traced_pair_frame_once_per_application(monkeypatch):
+    """The tracer times the pair frame by patching these two grid functions.
+
+    A chain map reaching its cached phases another way would leave the
+    pair-frame rows at 0 with no missing target to show for it.
+    """
+    import numpy as np
+
+    from deltaresolvent import grid as gridmod
+    from deltaresolvent.bump import ChainCouplingMap
+    from deltaresolvent.system import SystemSpec, enumerate_pairs
+
+    log = []
+    for name in ("pair_frame_forward", "pair_frame_adjoint"):
+        _count_calls(monkeypatch, gridmod, name, log)
+    spec = SystemSpec(masses=(1.0, 2.0, 0.5), g=1.0)
+    grid = gridmod.Grid(16, 3.2, 3)
+    cmap = ChainCouplingMap(grid, spec, enumerate_pairs(spec)[1], 0.2)
+    chi = cmap.forward(np.ones(grid.shape + (2,), dtype=complex))
+    assert log == ["pair_frame_forward"]
+    cmap.adjoint(chi)
+    assert log == ["pair_frame_forward", "pair_frame_adjoint"]
+
+
+def test_invert_lambda_calls_the_traced_lambda_methods(monkeypatch):
+    """The tracer times the Neumann terms through these two LambdaMatrix methods."""
+    import numpy as np
+
+    from deltaresolvent.blocks import LambdaMatrix, invert_lambda
+    from deltaresolvent.grid import Grid
+    from deltaresolvent.system import SystemSpec
+
+    log = []
+    for name in ("apply_offdiag", "apply_diag_inverse"):
+        _count_calls(monkeypatch, LambdaMatrix, name, log)
+    spec = SystemSpec(masses=(1.0, 1.0, 1.0), g=1.0)
+    grid = Grid(16, 3.2, 3)
+    lam = LambdaMatrix(grid, spec, -20.0, eps=0.2)
+    field = np.ones(grid.shape, dtype=complex)
+    invert_lambda(lam, [lam.lift(k, field) for k in range(len(lam.pairs))])
+    terms = log.count("apply_offdiag")
+    assert terms >= 1
+    assert log == ["apply_diag_inverse"] + ["apply_offdiag",
+                                            "apply_diag_inverse"] * terms
