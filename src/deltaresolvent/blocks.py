@@ -57,8 +57,9 @@ from .errors import (
 # 16^6 lattice is 134 MB, so its kernel temporaries are built piecewise.
 _KERNEL_CHUNK = 1 << 21
 
-# Neumann terms invert_lambda adds before giving up.
+# invert_lambda: Neumann terms before it gives up, relative tail bound to reach.
 MAX_TERMS = 200
+CHANNEL_TOL = 1e-10
 
 
 def pair_class_multiplier(grid, spec, pair, z):
@@ -335,7 +336,7 @@ class ChannelSystem:
     parameter, the pairs, the free resolvent R0, the a priori threshold
     and Neumann bookkeeping, the channel applications, and the resolvent
     itself: ``apply`` is R0 + g R0 T* (1 - g T R0 T*)^{-1} T R0, inverted
-    to ``tol`` (``force`` unlocks z above the threshold).  A subclass
+    to CHANNEL_TOL (``force`` unlocks z above the threshold).  A subclass
     supplies its own arithmetic for T through four hooks, on channel
     fields in reduced momentum (unnormalized FFT over the reduced axes;
     the Neumann bookkeeping only compares their norms, so its scale
@@ -348,14 +349,13 @@ class ChannelSystem:
       apply_diag_inverse(fs)   exact inverse of the same-pair blocks, the same.
     """
 
-    def __init__(self, grid, spec, z, tol, force):
+    def __init__(self, grid, spec, z, force):
         z = float(z)
         if z >= 0:
             raise ValueError("channel system requires a real negative z")
         self.grid = grid
         self.spec = spec
         self.z = z
-        self.tol = float(tol)
         self.force = bool(force)
         self.pairs = sysmod.enumerate_pairs(spec)
         self.rfree = gridmod.free_resolvent(grid, spec.masses, z)
@@ -405,7 +405,7 @@ class ChannelSystem:
 
     def solve_channels(self, fields):
         """Solve (1 - g T R0 T*) x = fields by the guarded Neumann iteration."""
-        return invert_lambda(self, fields, tol=self.tol, force=self.force)
+        return invert_lambda(self, fields)
 
     def apply(self, field):
         """(H - z)^{-1} field as R0 f + g R0 T* (1 - g T R0 T*)^{-1} T R0 f."""
@@ -433,8 +433,8 @@ class LambdaMatrix(ChannelSystem):
     The block and its inverse are then slice-wise multiplications.
     """
 
-    def __init__(self, grid, spec, z, eps=None, tol=1e-10, force=False):
-        super().__init__(grid, spec, z, tol, force)
+    def __init__(self, grid, spec, z, eps=None, force=False):
+        super().__init__(grid, spec, z, force)
         self.eps = None if eps is None else float(eps)
         self.mode = "limit" if eps is None else "kk"
         self.maps = [coupling_map(grid, spec, p, eps) for p in self.pairs]
@@ -494,7 +494,7 @@ def _slice_matmul(mats, chi):
     return (mats @ rows).transpose(1, 0, 2).reshape(chi.shape)
 
 
-def invert_lambda(lam, fields, tol=1e-10, force=False):
+def invert_lambda(lam, fields):
     """Solve the coupled channel system below the guarded threshold.
 
     Factorizes the inverse as (1 + D^-1 F)^-1 D^-1 with D the diagonal
@@ -502,11 +502,11 @@ def invert_lambda(lam, fields, tol=1e-10, force=False):
     expanded in a geometric series whose tail is controlled by the a
     priori ratio, raising AboveThreshold when the spectral parameter
     does not sit below the guaranteed-convergence threshold and
-    SeriesDiverging when the tail bound cannot reach the tolerance.
-    ``force`` skips only the threshold gate (unsupported territory);
+    SeriesDiverging when the tail bound cannot reach CHANNEL_TOL.
+    ``lam.force`` skips only the threshold gate (unsupported territory);
     divergence of the series still raises.
     """
-    if not force and lam.z >= lam.threshold:
+    if not lam.force and lam.z >= lam.threshold:
         raise AboveThreshold(lam.z, lam.threshold)
     current = lam.apply_diag_inverse(fields)
     if len(lam.pairs) == 1:
@@ -525,7 +525,7 @@ def invert_lambda(lam, fields, tol=1e-10, force=False):
     terms = 0
     while True:
         size = channel_norm(current)
-        if size * factor <= tol * scale:
+        if size * factor <= CHANNEL_TOL * scale:
             return total
         terms += 1
         if terms > MAX_TERMS:

@@ -53,6 +53,9 @@ from .errors import (AboveThreshold, ConfigError, DeltaResolventError,
 
 _FLOAT_FMT = "%.17g"
 
+# Largest relative kk-check deviation from the direct solve that passes.
+_KK_THRESHOLD = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # Config plumbing
@@ -93,20 +96,16 @@ _OPTIONS = {
     "converge": {
         "z": (_numbers, "-20.0", _NEGATIVE),
         "eps": (_numbers, "0.4, 0.2, 0.1, 0.05", _POSITIVE),
-        "tol": (float, "1e-10", _POSITIVE),
     },
     "spectrum": {
         "eps": (_numbers, "0.4, 0.2", _POSITIVE),
         "shift": (float, "-2.0", _NEGATIVE),
         "steps": (int, "80", _POSITIVE),
-        "tol": (float, "1e-9", _POSITIVE),
     },
     "kk": {
         "z": (float, "-16.0", _NEGATIVE),
         "eps": (float, "0.25", _POSITIVE),
         "probes": (int, "10", _POSITIVE),
-        "tol": (float, "1e-10", _POSITIVE),
-        "tolerance": (float, "1e-6", _POSITIVE),
     },
     "kernels": {
         "dims": (_integers, "1, 3, 4",
@@ -277,12 +276,11 @@ def cmd_converge(args, cfg):
     grids = _grid_ladder(cfg, spec.n, "64", "12.8")
     z_values = _option(cfg, "converge", "z")
     eps_values = _option(cfg, "converge", "eps")
-    tol = _option(cfg, "converge", "tol")
     _check_below_threshold(z_values, spec, args.force, "converge")
 
     sweep = resolventmod.convergence_sweep(
         spec, z_values, eps_values, grids,
-        rng=np.random.default_rng(args.seed), tol=tol, force=args.force)
+        rng=np.random.default_rng(args.seed), force=args.force)
     rows = [(e.level, e.npoints, e.box, e.z, e.eps, e.distance, e.spread)
             for e in sweep.entries]
     monotone = {"%d,%g" % key: sweep.monotone(*key) for key in sweep.orders}
@@ -294,6 +292,7 @@ def cmd_converge(args, cfg):
             "z": z_values,
             "eps": eps_values,
             "mode_pair": ["konno-kuroda", "limit"],
+            "channel_tol": blocksmod.CHANNEL_TOL,
             "entries": [asdict(e) for e in sweep.entries],
             "orders": {"%d,%g" % k: v for k, v in sweep.orders.items()},
             "monotone": monotone,
@@ -306,16 +305,16 @@ def cmd_spectrum(args, cfg):
     eps_values = _option(cfg, "spectrum", "eps")
     shift = _option(cfg, "spectrum", "shift")
     steps = _option(cfg, "spectrum", "steps")
-    tol = _option(cfg, "spectrum", "tol")
 
     rows = []
     table = {}
     for level, grid in enumerate(grids):
         energies = []
         for eps in eps_values:
-            e = resolventmod.ground_energy(
-                grid, spec, eps, shift=shift, steps=steps, tol=tol,
-                rng=np.random.default_rng(args.seed))
+            with _blas_threads(1):
+                e = resolventmod.ground_energy(
+                    grid, spec, eps, shift=shift, steps=steps,
+                    rng=np.random.default_rng(args.seed))
             energies.append(e)
             rows.append((level, grid.npoints, grid.box, eps, e, ""))
         extrapolated = None
@@ -332,6 +331,7 @@ def cmd_spectrum(args, cfg):
         "grid": [{"npoints": g.npoints, "box": g.box} for g in grids],
         "eps": eps_values,
         "shift": shift,
+        "eigen_tol": gridmod.EIGEN_TOL,
         "levels": {
             str(level): {"energies": energies, "extrapolated": extrapolated}
             for level, (energies, extrapolated) in table.items()
@@ -372,8 +372,6 @@ def _default_block_rows():
     shared = blocksmod.OffDiagonalBlock(
         grid3, spec3, sysmod.enumerate_pairs(spec3)[0],
         sysmod.enumerate_pairs(spec3)[1], z)
-    # LAPACK's threaded tridiagonal reduction sums in an order that follows
-    # the BLAS thread count; one thread keeps blocks.csv independent of it.
     with _blas_threads(1):
         norm = shared.norm()
     bound = shared.claimed_bound()
@@ -437,24 +435,22 @@ def cmd_kk_check(args, cfg):
     z = _option(cfg, "kk", "z")
     eps = _option(cfg, "kk", "eps")
     probes = _option(cfg, "kk", "probes")
-    tol = _option(cfg, "kk", "tol")
-    threshold = _option(cfg, "kk", "tolerance")
     _check_below_threshold([z], spec, args.force, "kk")
 
-    direct = resolventmod.DirectAssembly(grid, spec, z, eps, tol=tol)
-    factored = blocksmod.LambdaMatrix(grid, spec, z, eps, tol=tol,
-                                      force=args.force)
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
-    for k in range(probes):
-        psi = (rng.standard_normal(grid.shape)
-               + 1j * rng.standard_normal(grid.shape))
-        ua = direct.apply(psi)
-        ub = factored.apply(psi)
-        dev = float(np.linalg.norm(ub - ua) / np.linalg.norm(ua))
-        worst = max(worst, dev)
-        rows.append((k, dev))
+    with _blas_threads(1):
+        direct = resolventmod.DirectAssembly(grid, spec, z, eps)
+        factored = blocksmod.LambdaMatrix(grid, spec, z, eps, force=args.force)
+        for k in range(probes):
+            psi = (rng.standard_normal(grid.shape)
+                   + 1j * rng.standard_normal(grid.shape))
+            ua = direct.apply(psi)
+            ub = factored.apply(psi)
+            dev = float(np.linalg.norm(ub - ua) / np.linalg.norm(ua))
+            worst = max(worst, dev)
+            rows.append((k, dev))
     return Report(("probe", "deviation"), rows, {
         "spec": {"masses": list(spec.masses), "g": spec.g},
         "grid": {"npoints": grid.npoints, "box": grid.box},
@@ -463,8 +459,9 @@ def cmd_kk_check(args, cfg):
         "mode_pair": ["konno-kuroda", "direct-grid"],
         "distance": worst,
         "iterations": probes,
-        "threshold": threshold,
-    }, worst < threshold, "kk-check: max relative deviation %.3e over %d probes"
+        "channel_tol": blocksmod.CHANNEL_TOL,
+        "threshold": _KK_THRESHOLD,
+    }, worst < _KK_THRESHOLD, "kk-check: max relative deviation %.3e over %d probes"
         % (worst, probes))
 
 
@@ -566,7 +563,9 @@ def _bundled_openblas():
 @contextlib.contextmanager
 def _blas_threads(threads):
     """BLAS threads set to ``threads`` inside (None: as they are), restored on
-    exit; yields the count read back (None without controls or agreement)."""
+    exit; yields the count read back (None without controls or agreement).
+    LAPACK's threaded LU and tridiagonal reduction sum in an order that follows
+    the count, so the LAPACK results a command writes to CSV run at one thread."""
     blas = _bundled_openblas()
     before = [get() for get, _ in blas]
     try:

@@ -17,8 +17,9 @@ from .errors import NoConvergence, ShiftTooCloseToSpectrum
 # Upper limit on total grid points for dense-matrix code paths.
 DENSE_LIMIT = 4096
 
-# Restart cycles a shifted GMRES solve may take before it raises.
+# Shifted GMRES: restart cycles before it raises, relative residual to reach.
 _GMRES_MAXITER = 300
+_GMRES_TOL = 1e-10
 
 
 class Grid:
@@ -271,15 +272,15 @@ def minimum_image_separation(grid):
     return d * grid.h
 
 
-def shifted_solver(ham, z, tol=1e-10):
+def shifted_solver(ham, z):
     """Handle applying (H_eps - z)^{-1}, with all set-up done once here.
 
     Small grids factor the dense shifted matrix once by LU (a real one for
     real z, so complex right-hand sides cost two triangular solves) and
     check every solution's residual against the operator itself; larger
     grids run GMRES preconditioned by the free resolvent (exact when
-    g = 0).  At real z a real right-hand side gets a real solution, and
-    the handle tolerates trailing batch axes.
+    g = 0) to _GMRES_TOL.  At real z a real right-hand side gets a real
+    solution, and the handle tolerates trailing batch axes.
     """
     grid = ham.grid
     size, shape = grid.size, grid.shape
@@ -317,9 +318,9 @@ def shifted_solver(ham, z, tol=1e-10):
         def solve(flat):
             cols = []
             for rhs in flat.T:
-                sol, info = scipy.sparse.linalg.gmres(op, rhs, rtol=tol, atol=0.0,
-                                                      maxiter=_GMRES_MAXITER, M=pre,
-                                                      restart=60)
+                sol, info = scipy.sparse.linalg.gmres(
+                    op, rhs, rtol=_GMRES_TOL, atol=0.0, maxiter=_GMRES_MAXITER,
+                    M=pre, restart=60)
                 if info != 0:
                     resid = np.linalg.norm(shifted(sol) - rhs) / np.linalg.norm(rhs)
                     raise NoConvergence(_GMRES_MAXITER if info < 0 else info, resid,
@@ -339,6 +340,9 @@ def shifted_solver(ham, z, tol=1e-10):
 # ---------------------------------------------------------------------------
 # Norm and eigenvalue estimation: one ARPACK driver
 # ---------------------------------------------------------------------------
+
+# Relative accuracy lowest_eigenvalues asks of its eigenvalues.
+EIGEN_TOL = 1e-9
 
 
 def _eigsh(apply_op, solve, v0, k, steps, tol, shift, what):
@@ -385,20 +389,20 @@ def hermitian_norm(apply_op, shape, rng):
     return float(abs(vals[0])), float(rho[0]), count + 1
 
 
-def lowest_eigenvalues(apply_op, solve, size, shift, k=1, steps=60, tol=1e-9, rng=None):
+def lowest_eigenvalues(apply_op, solve, size, shift, steps, k=1, rng=None):
     """The k eigenvalues of a real symmetric operator nearest ``shift`` (below them).
 
     Shift-inverted Lanczos in real arithmetic from a start vector drawn
     from ``rng``; ``solve(v)`` applies (Op - shift)^{-1} at most ``steps``
-    times.  ``tol`` is the relative accuracy asked of the eigenvalues: a
+    times.  The eigenvalues are asked to relative accuracy EIGEN_TOL: a
     Ritz value's error goes as its residual squared, so ARPACK runs at
-    sqrt(tol).  Raises NoConvergence also when a residual
+    sqrt(EIGEN_TOL).  Raises NoConvergence also when a residual
     rho = ||Op x - E x|| reaches |E - shift| (E +- rho would hold the shift).
     """
     if rng is None:
         rng = np.random.default_rng(1)
     eigs, rho, count = _eigsh(apply_op, solve, rng.standard_normal(size), k, steps,
-                              np.sqrt(tol), shift, "Lanczos eigenvalue iteration")
+                              np.sqrt(EIGEN_TOL), shift, "Lanczos eigenvalue iteration")
     if not np.all(rho < np.abs(eigs - shift)):
         raise NoConvergence(count, np.max(rho), "Lanczos residual check")
     return sorted(eigs)

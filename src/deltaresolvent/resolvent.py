@@ -31,8 +31,8 @@ import scipy.optimize
 from . import forms as formsmod
 from . import grid as gridmod
 from . import system as sysmod
-from .blocks import (MAX_TERMS, ChannelSystem, LambdaMatrix, channel_norm,
-                     invert_lambda, pair_class_multiplier)
+from .blocks import (CHANNEL_TOL, MAX_TERMS, ChannelSystem, LambdaMatrix,
+                     channel_norm, invert_lambda, pair_class_multiplier)
 from .bump import build_hamiltonian
 from .errors import ConfigError, NoConvergence
 
@@ -47,7 +47,7 @@ class DirectAssembly:
 
     mode = "direct"
 
-    def __init__(self, grid, spec, z, eps, tol=1e-10):
+    def __init__(self, grid, spec, z, eps):
         z = complex(z)
         if z.imag == 0.0:
             if z.real >= 0.0:
@@ -57,9 +57,8 @@ class DirectAssembly:
         self.spec = spec
         self.z = z
         self.eps = float(eps)
-        self.tol = float(tol)
         self.ham = build_hamiltonian(grid, spec, eps)
-        self._solve = gridmod.shifted_solver(self.ham, z, tol=self.tol)
+        self._solve = gridmod.shifted_solver(self.ham, z)
 
     def apply(self, field):
         return self._solve(field)
@@ -84,8 +83,8 @@ class TraceAssembly(ChannelSystem):
 
     mode = "theta"
 
-    def __init__(self, grid, spec, z, tol=1e-10, force=False):
-        super().__init__(grid, spec, z, tol, force)
+    def __init__(self, grid, spec, z, force=False):
+        super().__init__(grid, spec, z, force)
         # per pair and flattened reduced momentum: the block and its inverse
         mults = [pair_class_multiplier(grid, spec, p, self.z).reshape(-1, 1)
                  for p in self.pairs]
@@ -112,14 +111,14 @@ class TraceAssembly(ChannelSystem):
                 for f, (_, inv) in zip(fields, self._diagonal)]
 
     def solve_channels(self, fields):
-        solution = invert_lambda(self, fields, tol=self.tol, force=self.force)
+        solution = invert_lambda(self, fields)
         if len(self.pairs) > 1:
             back = self.channel_apply(solution)
             den = channel_norm(fields)
             resid = (channel_norm([b - f for b, f in zip(back, fields)]) / den
                      if den > 0.0 else 0.0)
             self.last_residual = resid
-            if resid > 100.0 * self.tol:
+            if resid > 100.0 * CHANNEL_TOL:
                 raise NoConvergence(MAX_TERMS, resid, "trace channel inversion")
         return solution
 
@@ -135,7 +134,7 @@ _MODE_ALIASES = {
 }
 
 
-def assemble(grid, spec, z, mode, eps=None, tol=1e-10, force=False):
+def assemble(grid, spec, z, mode, eps=None, force=False):
     """Build one resolvent assembly by mode name.
 
     ``direct`` and ``kk`` need a positive width; ``limit`` and ``theta``
@@ -151,13 +150,13 @@ def assemble(grid, spec, z, mode, eps=None, tol=1e-10, force=False):
         if eps is None:
             raise ConfigError("mode %r requires a positive width" % mode)
         if key == "direct":
-            return DirectAssembly(grid, spec, z, eps, tol=tol)
-        return LambdaMatrix(grid, spec, z, eps, tol=tol, force=force)
+            return DirectAssembly(grid, spec, z, eps)
+        return LambdaMatrix(grid, spec, z, eps, force=force)
     if eps is not None:
         raise ConfigError("mode %r does not take a width" % mode)
     if key == "limit":
-        return LambdaMatrix(grid, spec, z, None, tol=tol, force=force)
-    return TraceAssembly(grid, spec, z, tol=tol, force=force)
+        return LambdaMatrix(grid, spec, z, None, force=force)
+    return TraceAssembly(grid, spec, z, force=force)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +191,7 @@ class SweepReport:
         return all(b < a for a, b in zip(d, d[1:]))
 
 
-def convergence_sweep(spec, z_values, eps_values, grids, rng=None, tol=1e-10,
-                      force=False):
+def convergence_sweep(spec, z_values, eps_values, grids, rng=None, force=False):
     """Operator-norm distances between width-eps and limit resolvents.
 
     For every grid in ``grids`` and spectral point in ``z_values``,
@@ -212,11 +210,11 @@ def convergence_sweep(spec, z_values, eps_values, grids, rng=None, tol=1e-10,
     orders = {}
     for level, grid in enumerate(grids):
         for z in z_values:
-            limit = LambdaMatrix(grid, spec, z, None, tol=tol, force=force)
+            limit = LambdaMatrix(grid, spec, z, None, force=force)
             dists = []
             for eps in eps_values:
                 stream = rng.spawn(1)[0]
-                asm = LambdaMatrix(grid, spec, z, eps, tol=tol, force=force)
+                asm = LambdaMatrix(grid, spec, z, eps, force=force)
                 start = time.perf_counter()
                 dist, spread, applications = gridmod.hermitian_norm(
                     lambda f: asm.apply(f) - limit.apply(f), grid.shape, stream)
@@ -257,7 +255,7 @@ def pole_scan(grid, spec, bracket):
     return float(scipy.optimize.brentq(smallest, lo, hi, xtol=1e-12))
 
 
-def ground_energy(grid, spec, eps, shift=-2.0, steps=80, tol=1e-9, rng=None):
+def ground_energy(grid, spec, eps, shift=-2.0, steps=80, rng=None):
     """Lowest eigenvalue of the width-eps Hamiltonian.
 
     Shift-inverted Lanczos around ``shift``, which must sit strictly
@@ -269,5 +267,5 @@ def ground_energy(grid, spec, eps, shift=-2.0, steps=80, tol=1e-9, rng=None):
     eigs = gridmod.lowest_eigenvalues(
         lambda vec: ham.apply(vec.reshape(grid.shape)).reshape(-1),
         lambda vec: solve(vec.reshape(grid.shape)).reshape(-1),
-        grid.size, shift, k=1, steps=steps, tol=tol, rng=rng)
+        grid.size, shift, steps, rng=rng)
     return float(eigs[0])

@@ -333,8 +333,9 @@ def test_invert_lambda_threshold_gate():
     with pytest.raises(AboveThreshold):
         invert_lambda(lam, fields)
     # force skips the gate; with a single pair there is no outer series
-    solved = invert_lambda(lam, fields, force=True)
-    back = lam.channel_apply(solved)
+    forced = LambdaMatrix(Grid(32, 6.4, 2), SPEC2, -2.0, force=True)
+    solved = invert_lambda(forced, fields)
+    back = forced.channel_apply(solved)
     assert np.linalg.norm(back[0] - fields[0]) / np.linalg.norm(fields[0]) < 1e-11
 
 
@@ -346,8 +347,9 @@ def test_invert_lambda_forced_divergence():
     fields = random_channels(lam, rng)
     with pytest.raises(AboveThreshold):
         invert_lambda(lam, fields)
+    forced = LambdaMatrix(Grid(16, 3.2, 3), spec, -0.5, force=True)
     with pytest.raises(SeriesDiverging):
-        invert_lambda(lam, fields, force=True)
+        invert_lambda(forced, fields)
 
 
 def test_lambda_threshold_and_ratio_bookkeeping():

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from deltaresolvent.blocks import CHANNEL_TOL
 from deltaresolvent.cli import main
+from deltaresolvent.grid import EIGEN_TOL
 
 D3_AT_ONE = 0.029274915762159584
 
@@ -75,6 +77,8 @@ def test_kk_check_report(tmp_path):
     assert meta["iterations"] == 4
     assert meta["distance"] < 1e-10
     assert meta["z"] == -16.0 and meta["eps"] == 0.25
+    # the fixed precisions in force
+    assert meta["channel_tol"] == CHANNEL_TOL and meta["threshold"] == 1e-6
 
 
 def test_kk_check_forced_above_threshold(tmp_path):
@@ -104,6 +108,7 @@ def test_converge_report(tmp_path):
     assert dists[0] > dists[1] > 0.0
     meta = read_json(out / "converge.json")
     assert meta["mode_pair"] == ["konno-kuroda", "limit"]
+    assert meta["channel_tol"] == CHANNEL_TOL
     assert meta["monotone"] == {"0,-20": True}
     assert "0,-20" in meta["orders"]
     for row, entry in zip(rows, meta["entries"]):
@@ -143,6 +148,7 @@ def test_spectrum_single_width(tmp_path):
     assert float(rows[0]["energy"]) == pytest.approx(-0.232196, abs=1e-4)
     meta = read_json(out / "spectrum.json")
     assert meta["analytic"] == pytest.approx(-0.25)
+    assert meta["eigen_tol"] == EIGEN_TOL
     assert meta["levels"]["0"]["extrapolated"] is None
     assert "relative_deviation" not in meta
 
@@ -300,11 +306,19 @@ def test_blas_threads_are_capped_read_back_and_restored(tmp_path):
     ("kernels", ("kernels.csv",)),
     ("forms", ("forms.csv",)),
     ("bounds", ("bounds.csv", "blocks.csv")),
-], ids=["kernels", "forms", "bounds"])
+    ("kk-check", ("kk-check.csv",)),
+    ("spectrum", ("spectrum.csv",)),
+], ids=["kernels", "forms", "bounds", "kk-check", "spectrum"])
 def test_thread_count_leaves_csv_bodies_unchanged(tmp_path, command, tables):
-    """blocks.csv holds a LAPACK eigenvalue whose last digits follow the BLAS
-    thread count, so bounds computes it at one thread whatever --threads says."""
-    cfg = write_config(tmp_path, "[bounds]\nsamples = 100000\n")
+    """blocks.csv holds a LAPACK eigenvalue, and kk-check.csv and spectrum.csv
+    rest on a dense LU, whose last digits follow the BLAS thread count; the
+    commands compute those at one thread whatever --threads says."""
+    cfg = write_config(tmp_path, "\n".join([
+        "[grid]", "npoints = 64", "box = 4.0",
+        "[kk]", "probes = 2",
+        "[spectrum]", "eps = 0.8, 0.4",
+        "[bounds]", "samples = 100000", "",
+    ]))
     one, two = tmp_path / "one", tmp_path / "two"
     for threads, out in (("1", one), ("2", two)):
         assert run(command, "--config", cfg, "--threads", threads,
@@ -319,11 +333,15 @@ def test_thread_count_leaves_csv_bodies_unchanged(tmp_path, command, tables):
 @pytest.mark.parametrize("command, section, key, value", [
     ("converge", "converge", "iters", "12"),  # a key that no longer exists
     ("converge", "converge", "tol", "-1"),
+    ("converge", "converge", "tol", "1e-10"),  # fixed precisions: no keys
     ("kk-check", "kk", "z", "minus"),
     ("kk-check", "kk", "tolerance", "-1"),
+    ("kk-check", "kk", "tolerance", "1e-6"),
+    ("kk-check", "kk", "tol", "1e-10"),
     ("forms", "forms", "count", "2.5"),
     ("spectrum", "spectrum", "steps", "0"),
     ("spectrum", "spectrum", "tol", "-1"),
+    ("spectrum", "spectrum", "tol", "1e-9"),
     ("kernels", "kernels", "point", "3"),
     ("forms", "form", "count", "5"),
 ])
