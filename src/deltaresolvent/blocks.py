@@ -7,12 +7,15 @@ configuration), and the system matrix is
 
     Lambda = 1 - Phi,    Phi_{sigma nu} = g A_sigma R0 A_nu*,
 
-with R0 the free resolvent.  A channel field is stored on the m support
-rows of its coupling map's relative axis only, and in reduced momentum:
-the FFT over the reduced axes runs once at the channel boundary (after
-A on the way in, before A* on the way out), so the same-pair blocks,
-which commute with reduced translations, are slice-wise multiplications
-inside the Neumann iteration.  This module provides
+with R0 the free resolvent.  The whole system runs in momentum: the
+lab field is kept as Fourier coefficients, on which R0 is its symbol
+1/(E(k) - z), and a channel field is stored on the m support rows of its
+coupling map's relative axis only, in reduced momentum.  Every coupling
+map commutes with joint translations, so it acts class by class on the
+pair momentum (see the bump module), and the same-pair blocks, which
+commute with reduced translations, are slice-wise multiplications.  A
+resolvent application transforms once on entry and once on exit; the
+Neumann iteration in between runs no FFT.  This module provides
 
   * the exact grid multiplier tau R0 tau* on the reduced configuration
     space (a wrapped class sum over reduced momenta);
@@ -31,8 +34,8 @@ inside the Neumann iteration.  This module provides
     tail-bounded outer iteration for the off-diagonal part.
 
 Reduced coordinate order is fixed everywhere as (pair center of mass,
-then spectators by ascending particle label); it is what the frame
-transform in the grid module produces.
+then spectators by ascending particle label); it is what the class
+gather in the grid module produces.
 """
 
 import functools
@@ -302,26 +305,22 @@ class OffDiagonalBlock:
 # ---------------------------------------------------------------------------
 
 
-def materialize_diagonal_slices(grid, spec, coupling, rfree):
+def materialize_diagonal_slices(grid, spec, coupling, free):
     """Exact per-momentum-slice matrices of one diagonal block T R0 T*.
 
     The block commutes with every reduced-lattice translation, so in the
     mixed representation (support row) x (reduced momentum) it is block
     diagonal with one small Hermitian matrix per momentum multi-index.
-    Feeding basis fields concentrated at a single support row (and at the
-    reduced origin) through the block recovers every slice, returned as
-    reduced-lattice + (m, m), in one pass of the FFT.
+    Feeding the unit channel fields at each support row (a field at the
+    reduced origin, hence constant in reduced momentum) through the
+    momentum maps and ``free`` (R0 on lab coefficients), as one batch,
+    recovers every slice, returned as reduced-lattice + (m, m).
     """
-    m, n = coupling.support.size, spec.n
-    reduced = (grid.npoints,) * (n - 1)
-    mats = np.empty(reduced + (m, m), dtype=complex)
-    for col in range(m):
-        basis = np.zeros((m,) + reduced, dtype=complex)
-        basis[(col,) + (0,) * (n - 1)] = 1.0
-        image = coupling.forward(rfree(coupling.adjoint(basis)))
-        image = scipy.fft.fftn(image, axes=tuple(range(1, n)))
-        mats[..., :, col] = np.moveaxis(image, 0, -1)
-    return mats
+    m = coupling.support.size
+    reduced = (grid.npoints,) * (spec.n - 1)
+    basis = np.moveaxis(np.broadcast_to(np.eye(m, dtype=complex), reduced + (m, m)),
+                        -2, 0)
+    return np.moveaxis(coupling.forward(free(coupling.adjoint(basis))), 0, -2)
 
 
 def channel_norm(fields):
@@ -336,16 +335,21 @@ class ChannelSystem:
     parameter, the pairs, the free resolvent R0, the a priori threshold
     and Neumann bookkeeping, the channel applications, and the resolvent
     itself: ``apply`` is R0 + g R0 T* (1 - g T R0 T*)^{-1} T R0, inverted
-    to CHANNEL_TOL (``force`` unlocks z above the threshold).  A subclass
-    supplies its own arithmetic for T through four hooks, on channel
-    fields in reduced momentum (unnormalized FFT over the reduced axes;
-    the Neumann bookkeeping only compares their norms, so its scale
-    cancels) with a batch on trailing axes:
+    to CHANNEL_TOL (``force`` unlocks z above the threshold).
 
-      lift(k, f)               T_k f then the FFT, a lab field to channel k;
-      drop(k, chi)             the inverse FFT then T_k*, back to a lab field;
+    ``apply`` keeps the lab field as Fourier coefficients throughout: one
+    FFT at entry, one inverse FFT at exit, and between them R0 is its
+    symbol 1/(E(k) - z), so the channel applications and the Neumann
+    terms run no FFT.  A subclass supplies its own arithmetic for T
+    through four hooks, on channel fields in reduced momentum
+    (unnormalized FFT over the reduced axes; the Neumann bookkeeping
+    only compares their norms, so its scale cancels) with a batch on
+    trailing axes:
+
+      lift(k, f)               T_k on lab coefficients, to channel k;
+      drop(k, chi)             T_k*, back to lab coefficients;
       own(k, chi)              T_k R0 T_k* chi, a same-pair block without g,
-                               slice-wise in momentum, no FFT;
+                               slice-wise in momentum;
       apply_diag_inverse(fs)   exact inverse of the same-pair blocks, the same.
     """
 
@@ -358,7 +362,8 @@ class ChannelSystem:
         self.z = z
         self.force = bool(force)
         self.pairs = sysmod.enumerate_pairs(spec)
-        self.rfree = gridmod.free_resolvent(grid, spec.masses, z)
+        self.symbol = 1.0 / (gridmod.kinetic_multiplier(grid, spec.masses) - z)
+        self._lab_axes = tuple(range(spec.n))
         self.constants = sysmod.bound_constants(spec)
 
     # -- norm bookkeeping ---------------------------------------------------
@@ -381,12 +386,17 @@ class ChannelSystem:
 
     # -- applications ---------------------------------------------------------
 
+    def free(self, coeffs):
+        """R0 on lab Fourier coefficients: the symbol times them, a batch trailing."""
+        extra = (1,) * (coeffs.ndim - self.spec.n)
+        return self.symbol.reshape(self.symbol.shape + extra) * coeffs
+
     def smoothed(self, fields):
         """R0 of the sum of the channel adjoints T_k* fields[k]."""
         total = self.drop(0, fields[0])
         for k in range(1, len(fields)):
             total = total + self.drop(k, fields[k])
-        return self.rfree(total)
+        return self.free(total)
 
     def channel_apply(self, fields):
         """Full system application on one channel field per pair."""
@@ -409,10 +419,11 @@ class ChannelSystem:
 
     def apply(self, field):
         """(H - z)^{-1} field as R0 f + g R0 T* (1 - g T R0 T*)^{-1} T R0 f."""
-        u0 = self.rfree(np.asarray(field, dtype=complex))
+        u0 = self.free(scipy.fft.fftn(field, axes=self._lab_axes))
         channels = [self.lift(k, u0) for k in range(len(self.pairs))]
         sol = self.solve_channels(channels)
-        return u0 + self.spec.g * self.smoothed(sol)
+        return scipy.fft.ifftn(u0 + self.spec.g * self.smoothed(sol),
+                               axes=self._lab_axes)
 
     __call__ = apply
 
@@ -422,9 +433,11 @@ class LambdaMatrix(ChannelSystem):
 
     Holds one coupling map per pair: limit maps for eps=None (``mode``
     "limit", the contact operator's resolvent), sheared or narrow-width
-    maps otherwise (``mode`` "kk").  The cross-pair coupling goes through
-    lab space, so a full application costs one free-resolvent solve
-    regardless of the number of pairs.  Each same-pair block is
+    maps otherwise (``mode`` "kk"); ``lift`` and ``drop`` are just the
+    maps, which run in momentum.  The cross-pair coupling goes through
+    the lab coefficients, so a full application costs one product with
+    the free-resolvent symbol regardless of the number of pairs.  Each
+    same-pair block is
     factored once, at first use, per reduced-momentum slice on the
     coupling support: in closed form for the limit maps (rank one, the
     unit window column times the class multiplier) and otherwise as the
@@ -438,14 +451,13 @@ class LambdaMatrix(ChannelSystem):
         self.eps = None if eps is None else float(eps)
         self.mode = "limit" if eps is None else "kk"
         self.maps = [coupling_map(grid, spec, p, eps) for p in self.pairs]
-        self._reduced_axes = tuple(range(1, spec.n))
         self._diag_cache = None
 
-    def lift(self, k, field):
-        return scipy.fft.fftn(self.maps[k].forward(field), axes=self._reduced_axes)
+    def lift(self, k, coeffs):
+        return self.maps[k].forward(coeffs)
 
     def drop(self, k, chi):
-        return self.maps[k].adjoint(scipy.fft.ifftn(chi, axes=self._reduced_axes))
+        return self.maps[k].adjoint(chi)
 
     def own(self, k, chi):
         return self._diagonal()[k][0](chi)
@@ -471,7 +483,7 @@ class LambdaMatrix(ChannelSystem):
                                          for d in (lam, g * lam / (1.0 - g * lam)))
                 else:
                     mats = materialize_diagonal_slices(self.grid, self.spec, cmap,
-                                                       self.rfree)
+                                                       self.free)
                     mats = mats.reshape((-1,) + mats.shape[-2:])
                     lam, vecs = np.linalg.eigh(mats)
                     gain = (g * lam / (1.0 - g * lam))[..., None]

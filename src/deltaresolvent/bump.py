@@ -12,7 +12,6 @@ import numpy as np
 import scipy.fft
 import scipy.integrate
 
-from . import forms as formsmod
 from . import grid as gridmod
 from . import system as sysmod
 from .errors import PotentialOverflowsBox, UnresolvedBump
@@ -130,18 +129,41 @@ def build_hamiltonian(grid, spec, eps):
 # coordinates followed by multiplication with sqrt(V_eps) sampled at the
 # wrapped separation.  Its square reproduces the sampled potential to
 # machine precision but needs the bump resolved by the grid.
+#
+# Every map runs in momentum (see the grid module): ``forward`` takes lab
+# Fourier coefficients to a channel field on the support rows x reduced
+# momentum (pair class K, then the spectators), ``adjoint`` takes one back.
+# Both commute with joint translations, so each is the class gather, one
+# small matrix per class K, and the class scatter on the way back.
 
 
 class _SupportRows:
     """A pair's map whose image is the ``support`` rows of the relative axis,
-    where its profile ``samples`` (kept there as ``weights``) are nonzero."""
+    where its profile ``samples`` (kept there as ``weights``) are nonzero.
 
-    def __init__(self, grid, spec, pair, samples):
+    By default the map is ``waves`` (m x N, the same in every class) times
+    the weights, applied to each class's members k1, with the 1/N of the
+    transform; its adjoint is the conjugate transpose without it.
+    """
+
+    def __init__(self, grid, spec, pair, samples, waves=None):
         self.grid = grid
         self.spec = spec
         self.pair = pair
         self.support = np.nonzero(samples)[0]
         self.weights = samples[self.support]
+        if waves is not None:
+            rows = self.weights[:, None] * waves
+            self._rows = rows / grid.npoints
+            self._rows_adjoint = rows.conj().T.copy()
+
+    def forward(self, coeffs):
+        classes = gridmod.class_gather(gridmod.lab_axes_to_front(coeffs, self.pair))
+        return np.tensordot(self._rows, classes, axes=(1, 1))
+
+    def adjoint(self, chi):
+        classes = np.tensordot(self._rows_adjoint, chi, axes=(1, 0)).swapaxes(0, 1)
+        return gridmod.lab_axes_from_front(gridmod.class_scatter(classes), self.pair)
 
 
 class ChainCouplingMap(_SupportRows):
@@ -160,19 +182,23 @@ class ChainCouplingMap(_SupportRows):
         self._rows = self.weights[:, None] * phases / grid.npoints
         self._rows_adjoint = self._rows.conj().T.copy()
 
-    def forward(self, lab_field):
-        f = gridmod.lab_axes_to_front(lab_field, self.pair)
+    def forward(self, coeffs):
+        f = gridmod.lab_axes_to_front(coeffs, self.pair)
         f = gridmod.pair_frame_forward(self.grid, f, self.alpha, self.beta)
         return np.tensordot(self._rows, f, axes=(1, 0))
 
-    def adjoint(self, chi_field):
-        f = np.tensordot(self._rows_adjoint, chi_field, axes=(1, 0))
+    def adjoint(self, chi):
+        f = np.tensordot(self._rows_adjoint, chi, axes=(1, 0))
         f = gridmod.pair_frame_adjoint(self.grid, f, self.alpha, self.beta)
         return gridmod.lab_axes_from_front(f, self.pair)
 
 
 class ShearCouplingMap(_SupportRows):
-    """A_eps for one pair via the exact index shear; needs a resolved bump."""
+    """A_eps for one pair via the exact index shear; needs a resolved bump.
+
+    Row d of the shear reads the lab field at (d + q, q); on the class K
+    of (member-i, member-j) momenta that is the phase exp(2 pi i k1 d / N).
+    """
 
     def __init__(self, grid, spec, pair, eps):
         check_fits_box(grid, eps)
@@ -183,25 +209,11 @@ class ShearCouplingMap(_SupportRows):
         sep = gridmod.minimum_image_separation(grid)[:, 0]
         # wrapped separation value for difference index d at member-j index 0;
         # by translation invariance the same for every member-j index
-        super().__init__(grid, spec, pair,
-                         np.sqrt(DEFAULT_PROFILE.scaled_potential(sep, eps)))
+        samples = np.sqrt(DEFAULT_PROFILE.scaled_potential(sep, eps))
+        k = np.arange(grid.npoints)
+        shear = np.exp(2j * np.pi * np.outer(k, k) / grid.npoints)   # [d, k1]
+        super().__init__(grid, spec, pair, samples, shear[samples > 0.0])
         self.eps = float(eps)
-        q = np.arange(grid.npoints)
-        # lab (member-i, member-j) indices of the sheared point (d, q)
-        self._gather = ((self.support[:, None] + q) % grid.npoints, q[None, :])
-
-    def forward(self, lab_field):
-        sheared = gridmod.lab_axes_to_front(lab_field, self.pair)[self._gather]
-        w = self.weights.reshape((-1,) + (1,) * (sheared.ndim - 1))
-        return w * sheared
-
-    def adjoint(self, chi_field):
-        w = self.weights.reshape((-1,) + (1,) * (chi_field.ndim - 1))
-        g = w * chi_field
-        # scatter back: adjoint of the gather
-        out = np.zeros((self.grid.npoints,) + g.shape[1:], dtype=g.dtype)
-        out[self._gather] = g
-        return gridmod.lab_axes_from_front(out, self.pair)
 
 
 class LimitCouplingMap(_SupportRows):
@@ -209,22 +221,14 @@ class LimitCouplingMap(_SupportRows):
 
     The hyperplane r = 0 holds the grid points where both pair members sit
     at the same lattice site, so the restriction is the trace's diagonal
-    gather f[k, k, ...] and its adjoint the diagonal scatter, both without
-    the trace adjoint's 1/h.
+    gather f[k, k, ...] (without the trace adjoint's 1/h): on each class,
+    the sum of its members.
     """
 
     def __init__(self, grid, spec, pair):
-        super().__init__(grid, spec, pair, renormalized_samples(grid))
-
-    def forward(self, lab_field):
-        diag = formsmod.apply_trace(self.grid, self.spec, self.pair, lab_field)
-        w = self.weights.reshape((-1,) + (1,) * diag.ndim)
-        return w * diag[None]
-
-    def adjoint(self, chi_field):
-        w = self.weights.reshape((-1,) + (1,) * (chi_field.ndim - 1))
-        return formsmod.diagonal_scatter(self.grid, self.spec, self.pair,
-                                         np.sum(w * chi_field, axis=0))
+        samples = renormalized_samples(grid)
+        super().__init__(grid, spec, pair, samples,
+                         np.ones((np.count_nonzero(samples), grid.npoints)))
 
 
 def coupling_map(grid, spec, pair, eps=None):

@@ -7,6 +7,8 @@ arrays; every map here tolerates extra trailing axes so batches of fields
 can be pushed through in one call.
 """
 
+import functools
+
 import numpy as np
 import scipy.fft
 import scipy.linalg
@@ -151,56 +153,79 @@ def random_band_limited(grid, rng, batch=()):
 
 
 # ---------------------------------------------------------------------------
-# Pair-frame change (band-limited, exact adjoint)
+# Pair-momentum classes and the pair-frame change (band-limited, exact adjoint)
 # ---------------------------------------------------------------------------
+#
+# Every coupling map commutes with joint translations of the pair, so on
+# lab Fourier coefficients it acts class by class on the pair momentum
+# K = (k1 + k2) mod N.  The maps run on unnormalized FFT coefficients
+# (numpy's default), in and out: a map's ``forward`` is the position-space
+# map conjugated by the FFTs, and so is its ``adjoint``, which makes the
+# latter N times the Euclidean adjoint of ``forward``.
+
+
+@functools.lru_cache(maxsize=None)
+def _class_indices(npoints):
+    k = np.arange(npoints)
+    gather = (k[None, :], (k[:, None] - k[None, :]) % npoints)    # [K, k1] -> (k1, k2)
+    scatter = ((k[:, None] + k[None, :]) % npoints, k[:, None])   # [k1, k2] -> (K, k1)
+    return gather, scatter
+
+
+def class_gather(coeffs):
+    """Sort the leading two axes of lab coefficients into pair-momentum classes.
+
+    out[K, k1, ...] = coeffs[k1, (K - k1) mod N, ...]; trailing axes ride along.
+    """
+    return coeffs[_class_indices(coeffs.shape[0])[0]]
+
+
+def class_scatter(classes):
+    """Inverse of :func:`class_gather`, a permutation, hence also its adjoint."""
+    return classes[_class_indices(classes.shape[0])[1]]
 
 
 def _frame_phases(grid, alpha, beta):
-    """(gather, scatter, mixer, adjoint) of the pair-frame change, built once per grid.
+    """(mixer, adjoint) of the pair-frame change, built once per grid.
 
-    gather takes [k1, k2] to [class K = (k1 + k2) mod N, k1] and scatter
-    back; per class mixer[K, a, k1] = exp(i (alpha p_k1 - beta p_(K - k1)) x_a)
-    and its conjugate transpose take 32 N^3 bytes, held by the grid.
+    Per class K, mixer[K, a, k1] = exp(i (alpha p_k1 - beta p_(K - k1)) x_a) / N
+    and adjoint[K] = N mixer[K]^*; together 32 N^3 bytes, held by the grid.
     """
     key = (float(alpha), float(beta))
     if key not in grid._frames:
-        K = np.arange(grid.npoints)
-        idx = (K[:, None] - K[None, :]) % grid.npoints          # [K, k1] -> k2
+        N = grid.npoints
         V = np.exp(1j * alpha * np.outer(grid.x, grid.p))        # [a, k1]
         W = np.exp(-1j * beta * np.outer(grid.x, grid.p))        # [a, k2]
-        mixer = V[None, :, :] * W[:, idx].transpose(1, 0, 2)
-        scatter = ((K[:, None] + K) % grid.npoints, K[:, None])
-        grid._frames[key] = ((K[None, :], idx), scatter, mixer,
+        mixer = V[None, :, :] * W[:, _class_indices(N)[0][1]].transpose(1, 0, 2)
+        grid._frames[key] = (mixer / N,
                              np.ascontiguousarray(mixer.conj().transpose(0, 2, 1)))
     return grid._frames[key]
 
 
-def pair_frame_forward(grid, field, alpha, beta):
-    """Re-express a lab field in pair coordinates, spectrally.
+def pair_frame_forward(grid, coeffs, alpha, beta):
+    """Re-express a lab field in pair coordinates, spectrally, class by class.
 
-    The leading two axes of ``field`` are the positions of the two pair
-    members; the output's leading axes are (r, R) with
-    out(r_a, R_b, ...) = field(R_b + alpha*r_a, R_b - beta*r_a, ...)
+    The leading two axes of ``coeffs`` are the Fourier coefficients of the
+    two pair members; the output's leading axes are the relative position
+    r_a and the pair-centre momentum K, the Fourier coefficients along R_b
+    of out(r_a, R_b, ...) = field(R_b + alpha*r_a, R_b - beta*r_a, ...)
     evaluated by trigonometric interpolation.  Remaining axes ride along.
     """
     N = grid.npoints
-    rest = field.shape[2:]
-    gather, _, mixer, _ = _frame_phases(grid, alpha, beta)
-    ph = scipy.fft.fft2(field.reshape(N, N, -1), axes=(0, 1)) / N ** 2
-    out = np.matmul(mixer, ph[gather]).transpose(1, 0, 2)    # [a, K, rest]
-    out = N * scipy.fft.ifft(out, axis=1)
-    return out.reshape((N, N) + rest)
+    rest = coeffs.shape[2:]
+    mixer, _ = _frame_phases(grid, alpha, beta)
+    out = np.matmul(mixer, class_gather(coeffs).reshape(N, N, -1))  # [K, a, rest]
+    return out.transpose(1, 0, 2).reshape((N, N) + rest)
 
 
 def pair_frame_adjoint(grid, field, alpha, beta):
-    """Exact discrete adjoint of :func:`pair_frame_forward`."""
+    """The adjoint frame change on coefficients: N times the Euclidean adjoint
+    of :func:`pair_frame_forward`."""
     N = grid.npoints
     rest = field.shape[2:]
-    _, scatter, _, adjoint = _frame_phases(grid, alpha, beta)
-    ct = scipy.fft.fft(field.reshape(N, N, -1), axis=1)         # adjoint of N*ifft
-    mixed = np.matmul(adjoint, ct.transpose(1, 0, 2))        # [K, k1, rest]
-    out = scipy.fft.ifft2(mixed[scatter], axes=(0, 1))       # undo the class gather
-    return out.reshape((N, N) + rest)
+    _, adjoint = _frame_phases(grid, alpha, beta)
+    mixed = np.matmul(adjoint, field.reshape(N, N, -1).transpose(1, 0, 2))  # [K, k1]
+    return class_scatter(mixed).reshape((N, N) + rest)
 
 
 def lab_axes_to_front(field, pair):
@@ -341,17 +366,17 @@ def shifted_solver(ham, z):
 # Norm and eigenvalue estimation: one ARPACK driver
 # ---------------------------------------------------------------------------
 
-# Relative accuracy lowest_eigenvalues asks of its eigenvalues.
+# Relative accuracy lowest_eigenvalues asks of its eigenvalue.
 EIGEN_TOL = 1e-9
 
 
-def _eigsh(apply_op, solve, v0, k, steps, tol, shift, what):
-    """k eigenpairs of a self-adjoint operator: the package's one ARPACK call.
+def _eigsh(apply_op, solve, v0, steps, tol, shift, what):
+    """One eigenpair of a self-adjoint operator: the package's one ARPACK call.
 
     Shift-inverted about ``shift`` when ``solve`` applies (Op - shift)^{-1},
     else of largest magnitude; in v0's arithmetic.  The Krylov applications
     are counted; the one past ``steps`` and any ARPACK failure raise
-    NoConvergence.  Returns (values, residuals ||Op x - e x||, count).
+    NoConvergence.  Returns (value e, residual ||Op x - e x||, count).
     """
     count = 0
 
@@ -367,12 +392,12 @@ def _eigsh(apply_op, solve, v0, k, steps, tol, shift, what):
 
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
-            operator(step if solve is None else apply_op), k, sigma=shift, which="LM",
+            operator(step if solve is None else apply_op), 1, sigma=shift, which="LM",
             v0=v0, tol=tol, OPinv=None if solve is None else operator(step))
     except scipy.sparse.linalg.ArpackError as exc:  # also: Op v0 = 0, no Krylov space
         raise NoConvergence(count, float("nan"), what) from exc
-    rho = np.array([np.linalg.norm(apply_op(x) - e * x) for e, x in zip(vals, vecs.T)])
-    return vals, rho, count
+    value, vec = float(vals[0]), vecs[:, 0]
+    return value, float(np.linalg.norm(apply_op(vec) - value * vec)), count
 
 
 def hermitian_norm(apply_op, shape, rng):
@@ -382,27 +407,27 @@ def hermitian_norm(apply_op, shape, rng):
     residual of an eigenvalue.  Relative tolerance 1e-4, at most 200 steps.
     """
     size = int(np.prod(shape))
-    vals, rho, count = _eigsh(
+    value, rho, count = _eigsh(
         lambda v: apply_op(v.reshape(shape)).reshape(-1), None,
-        rng.standard_normal(size) + 1j * rng.standard_normal(size), 1, 200, 1e-4,
+        rng.standard_normal(size) + 1j * rng.standard_normal(size), 200, 1e-4,
         None, "Lanczos operator norm")
-    return float(abs(vals[0])), float(rho[0]), count + 1
+    return abs(value), rho, count + 1
 
 
-def lowest_eigenvalues(apply_op, solve, size, shift, steps, k=1, rng=None):
-    """The k eigenvalues of a real symmetric operator nearest ``shift`` (below them).
+def lowest_eigenvalues(apply_op, solve, size, shift, steps, rng=None):
+    """The eigenvalue of a real symmetric operator nearest ``shift`` (below it).
 
     Shift-inverted Lanczos in real arithmetic from a start vector drawn
     from ``rng``; ``solve(v)`` applies (Op - shift)^{-1} at most ``steps``
-    times.  The eigenvalues are asked to relative accuracy EIGEN_TOL: a
+    times.  The eigenvalue is asked to relative accuracy EIGEN_TOL: a
     Ritz value's error goes as its residual squared, so ARPACK runs at
-    sqrt(EIGEN_TOL).  Raises NoConvergence also when a residual
+    sqrt(EIGEN_TOL).  Raises NoConvergence also when the residual
     rho = ||Op x - E x|| reaches |E - shift| (E +- rho would hold the shift).
     """
     if rng is None:
         rng = np.random.default_rng(1)
-    eigs, rho, count = _eigsh(apply_op, solve, rng.standard_normal(size), k, steps,
-                              np.sqrt(EIGEN_TOL), shift, "Lanczos eigenvalue iteration")
-    if not np.all(rho < np.abs(eigs - shift)):
-        raise NoConvergence(count, np.max(rho), "Lanczos residual check")
-    return sorted(eigs)
+    value, rho, count = _eigsh(apply_op, solve, rng.standard_normal(size), steps,
+                               np.sqrt(EIGEN_TOL), shift, "Lanczos eigenvalue iteration")
+    if not rho < abs(value - shift):
+        raise NoConvergence(count, rho, "Lanczos residual check")
+    return value

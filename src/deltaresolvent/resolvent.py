@@ -25,10 +25,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 import scipy.optimize
 
-from . import forms as formsmod
 from . import grid as gridmod
 from . import system as sysmod
 from .blocks import (CHANNEL_TOL, MAX_TERMS, ChannelSystem, LambdaMatrix,
@@ -89,18 +87,20 @@ class TraceAssembly(ChannelSystem):
         mults = [pair_class_multiplier(grid, spec, p, self.z).reshape(-1, 1)
                  for p in self.pairs]
         self._diagonal = [(m, 1.0 / (1.0 - spec.g * m)) for m in mults]
-        self._reduced_axes = tuple(range(spec.n - 1))
         self.last_residual = None
 
     # -- channel-space pieces -------------------------------------------------
 
-    def lift(self, k, field):
-        trace = formsmod.apply_trace(self.grid, self.spec, self.pairs[k], field)
-        return scipy.fft.fftn(trace, axes=self._reduced_axes)
+    def lift(self, k, coeffs):
+        """The trace in momentum: (1/N) times the sum over each pair class."""
+        classes = gridmod.class_gather(gridmod.lab_axes_to_front(coeffs, self.pairs[k]))
+        return np.sum(classes, axis=1) / self.grid.npoints
 
     def drop(self, k, chi):
-        reduced = scipy.fft.ifftn(chi, axes=self._reduced_axes)
-        return formsmod.trace_adjoint(self.grid, self.spec, self.pairs[k], reduced)
+        """The trace adjoint in momentum: each class value on all its members, / h."""
+        N = self.grid.npoints
+        spread = np.broadcast_to((chi / self.grid.h)[:, None], (N,) + chi.shape)
+        return gridmod.lab_axes_from_front(gridmod.class_scatter(spread), self.pairs[k])
 
     def own(self, k, chi):
         mult = self._diagonal[k][0]
@@ -264,8 +264,7 @@ def ground_energy(grid, spec, eps, shift=-2.0, steps=80, rng=None):
     """
     ham = build_hamiltonian(grid, spec, eps)
     solve = gridmod.shifted_solver(ham, shift)
-    eigs = gridmod.lowest_eigenvalues(
+    return gridmod.lowest_eigenvalues(
         lambda vec: ham.apply(vec.reshape(grid.shape)).reshape(-1),
         lambda vec: solve(vec.reshape(grid.shape)).reshape(-1),
         grid.size, shift, steps, rng=rng)
-    return float(eigs[0])

@@ -126,7 +126,7 @@ def test_acceptance_05_contact_diagonal_factorizes():
                 coeff = grid.h * np.sum(w * f, axis=0)
                 pred = w * (spec.g * mult * coeff)[None]
                 # the factored block, and g * (lift . free-resolvent . drop)
-                for block in (f - a, spec.g * lam.lift(k, lam.rfree(lam.drop(k, f)))):
+                for block in (f - a, spec.g * lam.lift(k, lam.free(lam.drop(k, f)))):
                     worst = max(worst, _rel(block, pred))
                     checks += 1
     _report("acceptance-05 contact-diagonal-factorization", worst < 1e-10,

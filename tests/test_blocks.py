@@ -273,7 +273,7 @@ def test_lambda_diag_inverse_roundtrip_limit_and_width():
 
 
 def test_factored_own_block_matches_lab_round_trip():
-    """T R0 T* from the cached factorization equals lift(rfree(drop(chi)))."""
+    """T R0 T* from the cached factorization equals lift(free(drop(chi)))."""
     spec = SystemSpec(masses=(1.0, 2.0, 0.5), g=1.0)
     grid = Grid(16, 3.2, 3)
     systems = [LambdaMatrix(grid, spec, -20.0),
@@ -286,9 +286,60 @@ def test_factored_own_block_matches_lab_round_trip():
         for k in range(len(lam.maps)):
             shape = channel_shape(lam, k) + (2,)
             chi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            ref = lam.lift(k, lam.rfree(lam.drop(k, chi)))
+            ref = lam.lift(k, lam.free(lam.drop(k, chi)))
             gap = np.max(np.abs(lam.own(k, chi) - ref)) / np.max(np.abs(ref))
             assert gap <= 1e-12
+
+
+def _fft_names():
+    import scipy.fft
+
+    return [name for name in scipy.fft.__all__ if "fft" in name]
+
+
+def test_neumann_terms_run_no_fft(monkeypatch):
+    """The channel iteration runs in momentum: apply transforms once each way.
+
+    Every scipy.fft transform is patched to log its name; inside the
+    Neumann terms (apply_offdiag, apply_diag_inverse) it raises instead.
+    """
+    import scipy.fft
+
+    spec = SystemSpec(masses=(1.0, 0.5, 2.0), g=0.7)
+    grid = Grid(16, 3.2, 3)
+    systems = [LambdaMatrix(grid, spec, -90.0, eps=eps) for eps in (None, 0.2, 0.8)]
+    systems.append(TraceAssembly(grid, spec, -90.0))
+    assert [type(lam.maps[0]).__name__ for lam in systems[:3]] == [
+        "LimitCouplingMap", "ChainCouplingMap", "ShearCouplingMap"]
+    log, inside = [], []
+
+    def patched(name, original):
+        def transform(*args, **kwargs):
+            if inside:
+                raise AssertionError("%s inside a Neumann term" % name)
+            log.append(name)
+            return original(*args, **kwargs)
+        return transform
+
+    for name in _fft_names():
+        monkeypatch.setattr(scipy.fft, name, patched(name, getattr(scipy.fft, name)))
+    for cls in (LambdaMatrix, TraceAssembly):
+        for method in ("apply_offdiag", "apply_diag_inverse"):
+            original = getattr(cls, method)
+
+            def guarded(self, fields, original=original):
+                inside.append(True)
+                try:
+                    return original(self, fields)
+                finally:
+                    inside.pop()
+            monkeypatch.setattr(cls, method, guarded)
+    rng = np.random.default_rng(12)
+    field = rng.standard_normal(grid.shape + (2,))
+    for lam in systems:
+        log.clear()
+        lam.apply(field)
+        assert log == ["fftn", "ifftn"]
 
 
 @pytest.mark.parametrize("grid, masses, z", [

@@ -37,10 +37,13 @@ def _relative_gap(a, b):
 def test_diagonal_gather_matches_pair_frame_row(spec):
     """Trace and limit map (gather/scatter) against the spectral pair frame at r = 0.
 
-    The limit map's support rows all carry the r = 0 row, weighted by the window.
+    The limit map's support rows all carry the r = 0 row, weighted by the
+    window.  The frame change and the map run on Fourier coefficients, so
+    each is wrapped in the FFTs here: lab axes in, reduced axes out.
     """
     grid = Grid(16, 3.2, spec.n)
     N = grid.npoints
+    lab, reduced = range(spec.n), range(1, spec.n)
     rng = np.random.default_rng(9)
     batch = (2,)
     for pair in enumerate_pairs(spec):
@@ -50,22 +53,26 @@ def test_diagonal_gather_matches_pair_frame_row(spec):
             + 1j * rng.standard_normal(grid.shape + batch)
         y = rng.standard_normal(grid.shape[1:] + batch) \
             + 1j * rng.standard_normal(grid.shape[1:] + batch)
-        front = lab_axes_to_front(f, pair)
-        row = pair_frame_forward(grid, front, alpha, beta)[N // 2]
+        front = np.fft.fft2(lab_axes_to_front(f, pair), axes=(0, 1))
+        row = np.fft.ifft(pair_frame_forward(grid, front, alpha, beta), axis=1)[N // 2]
         assert _relative_gap(apply_trace(grid, spec, pair, f), row) <= 1e-14
         w = cmap.weights.reshape((-1,) + (1,) * row.ndim)
-        assert _relative_gap(cmap.forward(f), w * row[None]) <= 1e-14
+        mapped = np.fft.ifftn(cmap.forward(np.fft.fftn(f, axes=lab)), axes=reduced)
+        assert _relative_gap(mapped, w * row[None]) <= 1e-14
+
+        def frame_adjoint(embedded):
+            framed = pair_frame_adjoint(grid, np.fft.fft(embedded, axis=1), alpha, beta)
+            return lab_axes_from_front(np.fft.ifft2(framed, axes=(0, 1)), pair)
 
         embedded = np.zeros((N,) + y.shape, dtype=complex)
         embedded[N // 2] = y
-        ref = lab_axes_from_front(pair_frame_adjoint(grid, embedded, alpha, beta),
-                                  pair)
+        ref = frame_adjoint(embedded)
         assert _relative_gap(trace_adjoint(grid, spec, pair, y), ref / grid.h) <= 1e-14
         chi = w * y[None]
         embedded[N // 2] = np.sum(w * chi, axis=0)
-        ref = lab_axes_from_front(pair_frame_adjoint(grid, embedded, alpha, beta),
-                                  pair)
-        assert _relative_gap(cmap.adjoint(chi), ref) <= 1e-14
+        ref = frame_adjoint(embedded)
+        mapped = np.fft.ifftn(cmap.adjoint(np.fft.fftn(chi, axes=reduced)), axes=lab)
+        assert _relative_gap(mapped, ref) <= 1e-14
 
 
 def test_trace_adjoint_pairing():
