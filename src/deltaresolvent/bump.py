@@ -176,9 +176,12 @@ class ChainCouplingMap(_SupportRows):
         super().__init__(grid, spec, pair, renormalized_samples(grid))
         self.eps = float(eps)
         self.alpha, self.beta = sysmod.frame_weights(spec, pair)
-        # Offset by -x[0] so plain FFT coefficients (no centre phase) can be used.
+        # Offset by -x[0] so plain FFT coefficients (no centre phase) can be used;
+        # the Nyquist wave is the cosine, as in the pair frame.
         pts = self.eps * grid.x[self.support] - grid.x[0]
-        phases = scipy.fft.fft(np.exp(1j * np.outer(pts, grid.p)), axis=1)
+        waves = np.exp(1j * np.outer(pts, grid.p))
+        waves[:, grid.npoints // 2] = np.cos(np.pi * pts / grid.h)
+        phases = scipy.fft.fft(waves, axis=1)
         self._rows = self.weights[:, None] * phases / grid.npoints
         self._rows_adjoint = self._rows.conj().T.copy()
 

@@ -190,12 +190,16 @@ def _frame_phases(grid, alpha, beta):
 
     Per class K, mixer[K, a, k1] = exp(i (alpha p_k1 - beta p_(K - k1)) x_a) / N
     and adjoint[K] = N mixer[K]^*; together 32 N^3 bytes, held by the grid.
+    The unpaired Nyquist wavenumber -pi/h is split evenly between +-pi/h,
+    its wave a cosine, so that a real field stays real.
     """
     key = (float(alpha), float(beta))
     if key not in grid._frames:
         N = grid.npoints
         V = np.exp(1j * alpha * np.outer(grid.x, grid.p))        # [a, k1]
         W = np.exp(-1j * beta * np.outer(grid.x, grid.p))        # [a, k2]
+        V[:, N // 2] = np.cos(alpha * np.pi * grid.x / grid.h)
+        W[:, N // 2] = np.cos(beta * np.pi * grid.x / grid.h)
         mixer = V[None, :, :] * W[:, _class_indices(N)[0][1]].transpose(1, 0, 2)
         grid._frames[key] = (mixer / N,
                              np.ascontiguousarray(mixer.conj().transpose(0, 2, 1)))

@@ -100,6 +100,15 @@ def test_chain_map_samples_the_pair_frame_field_at_squeezed_points():
                 < 1e-10 * np.max(expected))
 
 
+def _dilation_waves(cmap):
+    """Waves of the trigonometric interpolant at eps * x, all N rows."""
+    grid = cmap.grid
+    pts = cmap.eps * grid.x - grid.x[0]
+    waves = np.exp(1j * np.outer(pts, grid.p))
+    waves[:, grid.npoints // 2] = np.cos(np.pi * pts / grid.h)
+    return waves
+
+
 def _full_rows_forward(cmap, f):
     """Each map's full-row position-space composition, all N relative rows."""
     grid, spec, pair = cmap.grid, cmap.spec, cmap.pair
@@ -116,10 +125,11 @@ def _full_rows_forward(cmap, f):
             minimum_image_separation(grid)[:, 0], cmap.eps))
         return root.reshape((-1,) + (1,) * (sheared.ndim - 1)) * sheared
     # chain: pair frame, then the dilation (trigonometric interpolation of
-    # the relative axis at eps * r), then the window
+    # the relative axis at eps * r, the Nyquist term split evenly between
+    # +-pi/h), then the window
     framed = np.fft.ifft(pair_frame_forward(grid, np.fft.fft2(front, axes=(0, 1)),
                                             *frame_weights(spec, pair)), axis=1)
-    phases = np.exp(1j * np.outer(cmap.eps * grid.x - grid.x[0], grid.p))
+    phases = _dilation_waves(cmap)
     squeezed = np.tensordot(phases, np.fft.fft(framed, axis=0) / N, axes=(1, 0))
     window = renormalized_samples(grid)
     return window.reshape((-1,) + (1,) * (squeezed.ndim - 1)) * squeezed
@@ -141,7 +151,7 @@ def _full_rows_adjoint(cmap, chi):
         out[(d + q) % N, q] = root.reshape((-1,) + (1,) * (chi.ndim - 1)) * chi
         return lab_axes_from_front(out, pair)
     window = renormalized_samples(grid)
-    phases = np.exp(1j * np.outer(cmap.eps * grid.x - grid.x[0], grid.p))
+    phases = _dilation_waves(cmap)
     w = window.reshape((-1,) + (1,) * (chi.ndim - 1))
     unsqueezed = np.fft.ifft(np.tensordot(phases.conj().T, w * chi, axes=(1, 0)),
                              axis=0)
