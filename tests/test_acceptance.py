@@ -2,7 +2,8 @@
 
 One test per contract: each prints a single PASS/FAIL line with the
 measured number next to its tolerance, then asserts.  Everything here
-runs from public package surface only.
+runs from public package surface only, apart from the command line's
+BLAS thread cap.
 """
 
 import math
@@ -13,6 +14,7 @@ from deltaresolvent.audits import (audit_diagonal_bound, audit_schur_3d,
                                    audit_schur_4d, default_audit_grid)
 from deltaresolvent.blocks import (LambdaMatrix, OffDiagonalBlock,
                                    pair_class_multiplier)
+from deltaresolvent.cli import _blas_threads
 from deltaresolvent.forms import (apply_trace, evaluate_form,
                                   fourier_trace_identities, h1_norm_squared)
 from deltaresolvent.greens import greens_closed, greens_quadrature
@@ -75,8 +77,10 @@ def test_acceptance_03_width_convergence_order():
     details = []
     for spec, grid, seed in ((SPEC2, Grid(64, 12.8, 2), 3),
                              (SPEC3, Grid(32, 4.0, 3), 4)):
-        report = convergence_sweep(spec, [-20.0], widths, [grid],
-                                   rng=np.random.default_rng(seed))
+        # A second BLAS thread only spins on these small matrices.
+        with _blas_threads(1):
+            report = convergence_sweep(spec, [-20.0], widths, [grid],
+                                       rng=np.random.default_rng(seed))
         dists = report.distances(0, -20.0)
         order = report.orders[(0, -20.0)]
         ok = ok and report.monotone(0, -20.0) and order >= 0.9
