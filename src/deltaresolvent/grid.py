@@ -7,8 +7,6 @@ arrays; every map here tolerates extra trailing axes so batches of fields
 can be pushed through in one call.
 """
 
-import functools
-
 import numpy as np
 import scipy.fft
 import scipy.linalg
@@ -164,25 +162,19 @@ def random_band_limited(grid, rng, batch=()):
 # latter N times the Euclidean adjoint of ``forward``.
 
 
-@functools.lru_cache(maxsize=None)
-def _class_indices(npoints):
-    k = np.arange(npoints)
-    gather = (k[None, :], (k[:, None] - k[None, :]) % npoints)    # [K, k1] -> (k1, k2)
-    scatter = ((k[:, None] + k[None, :]) % npoints, k[:, None])   # [k1, k2] -> (K, k1)
-    return gather, scatter
-
-
 def class_gather(coeffs):
     """Sort the leading two axes of lab coefficients into pair-momentum classes.
 
     out[K, k1, ...] = coeffs[k1, (K - k1) mod N, ...]; trailing axes ride along.
     """
-    return coeffs[_class_indices(coeffs.shape[0])[0]]
+    k = np.arange(coeffs.shape[0])
+    return coeffs[k, (k[:, None] - k) % k.size]
 
 
 def class_scatter(classes):
     """Inverse of :func:`class_gather`, a permutation, hence also its adjoint."""
-    return classes[_class_indices(classes.shape[0])[1]]
+    k = np.arange(classes.shape[0])
+    return classes[(k[:, None] + k) % k.size, k[:, None]]
 
 
 def _frame_phases(grid, alpha, beta):
@@ -200,7 +192,8 @@ def _frame_phases(grid, alpha, beta):
         W = np.exp(-1j * beta * np.outer(grid.x, grid.p))        # [a, k2]
         V[:, N // 2] = np.cos(alpha * np.pi * grid.x / grid.h)
         W[:, N // 2] = np.cos(beta * np.pi * grid.x / grid.h)
-        mixer = V[None, :, :] * W[:, _class_indices(N)[0][1]].transpose(1, 0, 2)
+        K = np.arange(N)
+        mixer = V[None, :, :] * W[:, (K[:, None] - K) % N].transpose(1, 0, 2)
         grid._frames[key] = (mixer / N,
                              np.ascontiguousarray(mixer.conj().transpose(0, 2, 1)))
     return grid._frames[key]

@@ -98,8 +98,9 @@ class TraceAssembly(ChannelSystem):
 
     def drop(self, k, chi):
         """The trace adjoint in momentum: each class value on all its members, / h."""
-        N = self.grid.npoints
-        spread = np.broadcast_to((chi / self.grid.h)[:, None], (N,) + chi.shape)
+        values = chi / self.grid.h                                   # [K, rest]
+        spread = np.broadcast_to(values[:, None],
+                                 values.shape[:1] + (self.grid.npoints,) + values.shape[1:])
         return gridmod.lab_axes_from_front(gridmod.class_scatter(spread), self.pairs[k])
 
     def own(self, k, chi):
