@@ -310,12 +310,6 @@ def test_chain_kk_route_is_real_on_real_input(grid, masses, g, z, eps):
     assert np.linalg.norm(out.imag) <= 1e-15 * np.linalg.norm(out)
 
 
-def _fft_names():
-    import scipy.fft
-
-    return [name for name in scipy.fft.__all__ if "fft" in name]
-
-
 def test_neumann_terms_run_no_fft(monkeypatch):
     """The channel iteration runs in momentum: apply transforms once each way.
 
@@ -340,7 +334,7 @@ def test_neumann_terms_run_no_fft(monkeypatch):
             return original(*args, **kwargs)
         return transform
 
-    for name in _fft_names():
+    for name in [name for name in scipy.fft.__all__ if "fft" in name]:
         monkeypatch.setattr(scipy.fft, name, patched(name, getattr(scipy.fft, name)))
     for cls in (LambdaMatrix, TraceAssembly):
         for method in ("apply_offdiag", "apply_diag_inverse"):
