@@ -134,66 +134,59 @@ def build_hamiltonian(grid, spec, eps):
 # Fourier coefficients to a channel field on the support rows x reduced
 # momentum (pair class K, then the spectators), ``adjoint`` takes one back.
 # Both commute with joint translations, so each is the class gather, one
-# small matrix per class K, and the class scatter on the way back.
+# (m x N) matrix per class K, and the class scatter on the way back.
 
 
 class _SupportRows:
     """A pair's map whose image is the ``support`` rows of the relative axis,
     where its profile ``samples`` (kept there as ``weights``) are nonzero.
 
-    By default the map is ``waves`` (m x N, the same in every class) times
-    the weights, applied to each class's members k1, with the 1/N of the
-    transform; its adjoint is the conjugate transpose without it.
+    The map is ``waves`` (m x N: one matrix per class K, or one shared by
+    every class) times the weights, applied to each class's members k1,
+    with the 1/N of the transform; its adjoint is the conjugate transpose
+    without it.
     """
 
-    def __init__(self, grid, spec, pair, samples, waves=None):
+    def __init__(self, grid, spec, pair, samples, waves):
         self.grid = grid
         self.spec = spec
         self.pair = pair
         self.support = np.nonzero(samples)[0]
         self.weights = samples[self.support]
-        if waves is not None:
-            rows = self.weights[:, None] * waves
-            self._rows = rows / grid.npoints
-            self._rows_adjoint = rows.conj().T.copy()
+        rows = self.weights[:, None] * waves
+        self._rows = rows / grid.npoints
+        self._rows_adjoint = np.ascontiguousarray(rows.conj().swapaxes(-1, -2))
 
     def forward(self, coeffs):
         classes = gridmod.class_gather(gridmod.lab_axes_to_front(coeffs, self.pair))
-        return np.tensordot(self._rows, classes, axes=(1, 1))
+        N = classes.shape[0]
+        chi = np.matmul(self._rows, classes.reshape(N, N, -1))  # [K, m, rest]
+        return chi.swapaxes(0, 1).reshape((self.support.size, N) + classes.shape[2:])
 
     def adjoint(self, chi):
-        classes = np.tensordot(self._rows_adjoint, chi, axes=(1, 0)).swapaxes(0, 1)
+        m, N = chi.shape[:2]
+        classes = np.matmul(self._rows_adjoint, chi.reshape(m, N, -1).swapaxes(0, 1))
+        classes = classes.reshape((N, N) + chi.shape[2:])  # [K, k1, rest]
         return gridmod.lab_axes_from_front(gridmod.class_scatter(classes), self.pair)
 
 
 class ChainCouplingMap(_SupportRows):
-    """A_eps for one pair via frame change + squeeze + profile window; on the
-    pair frame's relative axis the last two are one (m x N) matrix whose row
-    a is the window at r_a times the trigonometric interpolant at eps r_a."""
+    """A_eps for one pair via frame change + squeeze + profile window: on each
+    class K, one (m x N) matrix, the squeeze rows (row a: the window at r_a
+    times the trigonometric interpolant at eps r_a) times the frame mixer."""
 
     def __init__(self, grid, spec, pair, eps):
         check_fits_box(grid, eps)
-        super().__init__(grid, spec, pair, renormalized_samples(grid))
         self.eps = float(eps)
-        self.alpha, self.beta = sysmod.frame_weights(spec, pair)
+        samples = renormalized_samples(grid)
         # Offset by -x[0] so plain FFT coefficients (no centre phase) can be used;
         # the Nyquist wave is the cosine, as in the pair frame.
-        pts = self.eps * grid.x[self.support] - grid.x[0]
+        pts = self.eps * grid.x[samples > 0.0] - grid.x[0]
         waves = np.exp(1j * np.outer(pts, grid.p))
         waves[:, grid.npoints // 2] = np.cos(np.pi * pts / grid.h)
-        phases = scipy.fft.fft(waves, axis=1)
-        self._rows = self.weights[:, None] * phases / grid.npoints
-        self._rows_adjoint = self._rows.conj().T.copy()
-
-    def forward(self, coeffs):
-        f = gridmod.lab_axes_to_front(coeffs, self.pair)
-        f = gridmod.pair_frame_forward(self.grid, f, self.alpha, self.beta)
-        return np.tensordot(self._rows, f, axes=(1, 0))
-
-    def adjoint(self, chi):
-        f = np.tensordot(self._rows_adjoint, chi, axes=(1, 0))
-        f = gridmod.pair_frame_adjoint(self.grid, f, self.alpha, self.beta)
-        return gridmod.lab_axes_from_front(f, self.pair)
+        squeeze = scipy.fft.fft(waves, axis=1)   # [m, a]
+        mixer = gridmod.pair_frame_mixer(grid, *sysmod.frame_weights(spec, pair))
+        super().__init__(grid, spec, pair, samples, squeeze @ mixer)
 
 
 class ShearCouplingMap(_SupportRows):

@@ -43,7 +43,6 @@ class Grid:
         self.h = self.box / npoints
         self.x = -self.box / 2 + self.h * np.arange(npoints)
         self.p = 2 * np.pi * scipy.fft.fftfreq(npoints, d=self.h)
-        self._frames = {}  # pair-frame phases per (alpha, beta), see _frame_phases
 
     @property
     def shape(self):
@@ -177,26 +176,20 @@ def class_scatter(classes):
     return classes[(k[:, None] + k) % k.size, k[:, None]]
 
 
-def _frame_phases(grid, alpha, beta):
-    """(mixer, adjoint) of the pair-frame change, built once per grid.
+def pair_frame_mixer(grid, alpha, beta):
+    """The pair-frame change on each class K, an (N x N) matrix per class.
 
-    Per class K, mixer[K, a, k1] = exp(i (alpha p_k1 - beta p_(K - k1)) x_a) / N
-    and adjoint[K] = N mixer[K]^*; together 32 N^3 bytes, held by the grid.
-    The unpaired Nyquist wavenumber -pi/h is split evenly between +-pi/h,
-    its wave a cosine, so that a real field stays real.
+    mixer[K, a, k1] = exp(i (alpha p_k1 - beta p_(K - k1)) x_a) / N.  The
+    unpaired Nyquist wavenumber -pi/h is split evenly between +-pi/h, its
+    wave a cosine, so that a real field stays real.
     """
-    key = (float(alpha), float(beta))
-    if key not in grid._frames:
-        N = grid.npoints
-        V = np.exp(1j * alpha * np.outer(grid.x, grid.p))        # [a, k1]
-        W = np.exp(-1j * beta * np.outer(grid.x, grid.p))        # [a, k2]
-        V[:, N // 2] = np.cos(alpha * np.pi * grid.x / grid.h)
-        W[:, N // 2] = np.cos(beta * np.pi * grid.x / grid.h)
-        K = np.arange(N)
-        mixer = V[None, :, :] * W[:, (K[:, None] - K) % N].transpose(1, 0, 2)
-        grid._frames[key] = (mixer / N,
-                             np.ascontiguousarray(mixer.conj().transpose(0, 2, 1)))
-    return grid._frames[key]
+    N = grid.npoints
+    V = np.exp(1j * alpha * np.outer(grid.x, grid.p))        # [a, k1]
+    W = np.exp(-1j * beta * np.outer(grid.x, grid.p))        # [a, k2]
+    V[:, N // 2] = np.cos(alpha * np.pi * grid.x / grid.h)
+    W[:, N // 2] = np.cos(beta * np.pi * grid.x / grid.h)
+    K = np.arange(N)
+    return V[None, :, :] * W[:, (K[:, None] - K) % N].transpose(1, 0, 2) / N
 
 
 def pair_frame_forward(grid, coeffs, alpha, beta):
@@ -207,20 +200,22 @@ def pair_frame_forward(grid, coeffs, alpha, beta):
     r_a and the pair-centre momentum K, the Fourier coefficients along R_b
     of out(r_a, R_b, ...) = field(R_b + alpha*r_a, R_b - beta*r_a, ...)
     evaluated by trigonometric interpolation.  Remaining axes ride along.
+    The chain coupling maps are built from this change's per-class mixer;
+    the change itself is their reference.
     """
     N = grid.npoints
     rest = coeffs.shape[2:]
-    mixer, _ = _frame_phases(grid, alpha, beta)
+    mixer = pair_frame_mixer(grid, alpha, beta)
     out = np.matmul(mixer, class_gather(coeffs).reshape(N, N, -1))  # [K, a, rest]
     return out.transpose(1, 0, 2).reshape((N, N) + rest)
 
 
 def pair_frame_adjoint(grid, field, alpha, beta):
     """The adjoint frame change on coefficients: N times the Euclidean adjoint
-    of :func:`pair_frame_forward`."""
+    of :func:`pair_frame_forward`, the reference of the chain maps' adjoint."""
     N = grid.npoints
     rest = field.shape[2:]
-    _, adjoint = _frame_phases(grid, alpha, beta)
+    adjoint = N * pair_frame_mixer(grid, alpha, beta).conj().transpose(0, 2, 1)
     mixed = np.matmul(adjoint, field.reshape(N, N, -1).transpose(1, 0, 2))  # [K, k1]
     return class_scatter(mixed).reshape((N, N) + rest)
 

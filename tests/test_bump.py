@@ -160,7 +160,8 @@ def _full_rows_adjoint(cmap, chi):
     return lab_axes_from_front(framed, pair)
 
 
-@pytest.mark.parametrize("masses", [(1.0, 2.0), (1.0, 2.0, 0.5)], ids=["n2", "n3"])
+@pytest.mark.parametrize("masses", [(1.0, 2.0), (1.0, 2.0, 0.5), (1.0, 2.0, 0.5, 1.5)],
+                         ids=["n2", "n3", "n4"])
 def test_support_rows_match_the_full_row_composition(masses):
     """forward is the full-row composition at the support rows; adjoint is the
     full-row adjoint of the zero-padded embedding."""

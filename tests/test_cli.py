@@ -302,23 +302,31 @@ def test_blas_threads_are_capped_read_back_and_restored(tmp_path):
     assert [get() for get, _ in controls] == before
 
 
-@pytest.mark.parametrize("command, tables", [
+_CSV_COMMANDS = pytest.mark.parametrize("command, tables", [
     ("kernels", ("kernels.csv",)),
     ("forms", ("forms.csv",)),
     ("bounds", ("bounds.csv", "blocks.csv")),
     ("kk-check", ("kk-check.csv",)),
     ("spectrum", ("spectrum.csv",)),
-], ids=["kernels", "forms", "bounds", "kk-check", "spectrum"])
-def test_thread_count_leaves_csv_bodies_unchanged(tmp_path, command, tables):
-    """blocks.csv holds a LAPACK eigenvalue, and kk-check.csv and spectrum.csv
-    rest on a dense LU, whose last digits follow the BLAS thread count; the
-    commands compute those at one thread whatever --threads says."""
-    cfg = write_config(tmp_path, "\n".join([
+    ("converge", ("converge.csv",)),
+], ids=["kernels", "forms", "bounds", "kk-check", "spectrum", "converge"])
+
+
+def _thread_config(tmp_path):
+    return write_config(tmp_path, "\n".join([
         "[grid]", "npoints = 64", "box = 4.0",
         "[kk]", "probes = 2",
         "[spectrum]", "eps = 0.8, 0.4",
         "[bounds]", "samples = 100000", "",
     ]))
+
+
+@_CSV_COMMANDS
+def test_thread_count_leaves_csv_bodies_unchanged(tmp_path, command, tables):
+    """blocks.csv holds a LAPACK eigenvalue, and kk-check.csv and spectrum.csv
+    rest on a dense LU, whose last digits follow the BLAS thread count; the
+    commands compute those at one thread whatever --threads says."""
+    cfg = _thread_config(tmp_path)
     one, two = tmp_path / "one", tmp_path / "two"
     for threads, out in (("1", one), ("2", two)):
         assert run(command, "--config", cfg, "--threads", threads,
@@ -328,6 +336,34 @@ def test_thread_count_leaves_csv_bodies_unchanged(tmp_path, command, tables):
     assert meta["blas_threads"] in (2, None)
     for table in tables:
         assert (one / table).read_bytes() == (two / table).read_bytes()
+
+
+@_CSV_COMMANDS
+def test_blas_thread_environment_leaves_csv_bodies_unchanged(tmp_path, command,
+                                                             tables):
+    """The default path: no --threads, and the BLAS thread count set by
+    OPENBLAS_NUM_THREADS, which OpenBLAS reads once at load, so each count
+    runs in a process of its own."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import deltaresolvent
+
+    cfg = _thread_config(tmp_path)
+    path = [str(Path(deltaresolvent.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        subprocess.run([sys.executable, "-m", "deltaresolvent.cli", command,
+                        "--config", cfg, "--out", str(tmp_path / threads)],
+                       env=env, check=True, capture_output=True)
+    assert read_json(tmp_path / "2" / (command + ".json"))["blas_threads"] in (2, None)
+    for table in tables:
+        assert ((tmp_path / "1" / table).read_bytes()
+                == (tmp_path / "2" / table).read_bytes())
 
 
 @pytest.mark.parametrize("command, section, key, value", [

@@ -115,8 +115,8 @@ def test_pair_frame_forward_matches_pointwise_formula():
 
     The frame change runs on Fourier coefficients: the lab field goes in
     through fft2, and the pair-centre axis comes back through ifft.  The
-    frame weights alternate on one grid, so each call must use the phases
-    cached for its own (alpha, beta).
+    frame weights alternate on one grid, so each call must build its mixer
+    from its own (alpha, beta).
     """
     grid = Grid(64, 25.6, 2)
     xi = grid.x[:, None]

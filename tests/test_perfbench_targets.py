@@ -60,28 +60,34 @@ def _count_calls(monkeypatch, owner, name, log):
     monkeypatch.setattr(owner, name, counted)
 
 
-def test_chain_map_calls_the_traced_pair_frame_once_per_application(monkeypatch):
-    """The tracer times the pair frame by patching these two grid functions.
+def test_chain_lift_and_drop_call_the_traced_chain_map_methods(monkeypatch):
+    """The tracer times the chain maps by patching these two methods on
+    ChainCouplingMap, which inherits them from its support-row base.
 
-    A chain map reaching its cached phases another way would leave the
-    pair-frame rows at 0 with no missing target to show for it.
+    A kk lift or drop reaching the chain rows another way would leave the
+    bump.chain rows at 0 with no missing target to show for it.
     """
     import numpy as np
 
-    from deltaresolvent import grid as gridmod
+    from deltaresolvent.blocks import LambdaMatrix
     from deltaresolvent.bump import ChainCouplingMap
-    from deltaresolvent.system import SystemSpec, enumerate_pairs
+    from deltaresolvent.grid import Grid
+    from deltaresolvent.system import SystemSpec
 
     log = []
-    for name in ("pair_frame_forward", "pair_frame_adjoint"):
-        _count_calls(monkeypatch, gridmod, name, log)
+    for name in ("forward", "adjoint"):
+        _count_calls(monkeypatch, ChainCouplingMap, name, log)
     spec = SystemSpec(masses=(1.0, 2.0, 0.5), g=1.0)
-    grid = gridmod.Grid(16, 3.2, 3)
-    cmap = ChainCouplingMap(grid, spec, enumerate_pairs(spec)[1], 0.2)
-    chi = cmap.forward(np.ones(grid.shape + (2,), dtype=complex))
-    assert log == ["pair_frame_forward"]
-    cmap.adjoint(chi)
-    assert log == ["pair_frame_forward", "pair_frame_adjoint"]
+    grid = Grid(16, 3.2, 3)
+    lam = LambdaMatrix(grid, spec, -20.0, eps=0.2)
+    assert all(isinstance(cmap, ChainCouplingMap) for cmap in lam.maps)
+    coeffs = np.ones(grid.shape + (2,), dtype=complex)
+    for k in range(len(lam.pairs)):
+        chi = lam.lift(k, coeffs)
+        assert log == ["forward"]
+        lam.drop(k, chi)
+        assert log == ["forward", "adjoint"]
+        log.clear()
 
 
 def test_invert_lambda_calls_the_traced_lambda_methods(monkeypatch):
