@@ -25,13 +25,15 @@ Neumann iteration in between runs no FFT.  This module provides
   * OffDiagonalBlock: the factorized limit kernel between two distinct
     pairs, reduced to a 3- or 4-dimensional displacement fed to the
     free-space kernel, for norm measurements against K |g| / sqrt(|z|);
-  * ChannelSystem: what every channel route shares -- threshold and
-    Neumann bookkeeping, the channel applications and the resolvent
-    itself -- around subclass hooks for the channel map;
-  * LambdaMatrix / invert_lambda: the coupling-map channel system (the
-    resolvent of the kk and limit routes), its diagonal blocks factored
-    once per momentum slice, and the guarded inversion with a
-    tail-bounded outer iteration for the off-diagonal part.
+  * ChannelSystem: the one channel system of every channel route --
+    one support-row map per pair, threshold and Neumann bookkeeping,
+    the channel applications, the diagonal blocks factored once per
+    momentum slice, and the resolvent itself;
+  * LambdaMatrix: the coupling-map channel system, the resolvent of the
+    kk and limit routes (the theta route's TraceAssembly is the same
+    system with the trace map);
+  * invert_lambda: the guarded inversion, exact on the diagonal blocks,
+    with a tail-bounded outer iteration for the off-diagonal part.
 
 Reduced coordinate order is fixed everywhere as (pair center of mass,
 then spectators by ascending particle label); it is what the class
@@ -329,42 +331,47 @@ def channel_norm(fields):
 
 
 class ChannelSystem:
-    """The channel matrix 1 - g T R0 T* of one channel map T = (T_k).
+    """The channel matrix 1 - g T R0 T* of one channel map T = (T_k), and the
+    resolvent of every channel route.
 
-    Holds what every channel route shares: the guarded spectral
-    parameter, the pairs, the free resolvent R0, the a priori threshold
-    and Neumann bookkeeping, the channel applications, and the resolvent
-    itself: ``apply`` is R0 + g R0 T* (1 - g T R0 T*)^{-1} T R0, inverted
-    to CHANNEL_TOL (``force`` unlocks z above the threshold).
+    Holds the guarded spectral parameter, the pairs, one map per pair
+    (``pair_map(pair)``, a support-row map of the bump module), the free
+    resolvent R0, the a priori threshold and Neumann bookkeeping, the
+    channel applications, and the resolvent itself: ``apply`` is
+    R0 + g R0 T* (1 - g T R0 T*)^{-1} T R0, inverted to CHANNEL_TOL
+    (``force`` unlocks z above the threshold).
 
     ``apply`` keeps the lab field as Fourier coefficients throughout: one
     FFT at entry, one inverse FFT at exit, and between them R0 is its
     symbol 1/(E(k) - z), so the channel applications and the Neumann
-    terms run no FFT.  A subclass supplies its own arithmetic for T
-    through four hooks, on channel fields in reduced momentum
-    (unnormalized FFT over the reduced axes; the Neumann bookkeeping
-    only compares their norms, so its scale cancels) with a batch on
-    trailing axes:
-
-      lift(k, f)               T_k on lab coefficients, to channel k;
-      drop(k, chi)             T_k*, back to lab coefficients;
-      own(k, chi)              T_k R0 T_k* chi, a same-pair block without g,
-                               slice-wise in momentum;
-      apply_diag_inverse(fs)   exact inverse of the same-pair blocks, the same.
+    terms run no FFT.  Channel fields live on each map's support rows in
+    reduced momentum, with a batch on trailing axes.  The cross-pair
+    coupling goes through the lab coefficients, so a full application
+    costs one product with the free-resolvent symbol regardless of the
+    number of pairs.  Each same-pair block is factored once, at first use,
+    per reduced-momentum slice on the map's support: in closed form for
+    zero-width maps (``eps`` None; rank one, the unit window column times
+    the class multiplier) and otherwise as the materialized slice
+    matrices, whose batched eigendecomposition U diag(lam) U* gives the
+    inverse as 1 + U diag(g lam/(1 - g lam)) U*.  The block and its
+    inverse are then slice-wise multiplications.
     """
 
-    def __init__(self, grid, spec, z, force):
+    def __init__(self, grid, spec, z, pair_map, eps, force):
         z = float(z)
         if z >= 0:
             raise ValueError("channel system requires a real negative z")
         self.grid = grid
         self.spec = spec
         self.z = z
+        self.eps = None if eps is None else float(eps)
         self.force = bool(force)
         self.pairs = sysmod.enumerate_pairs(spec)
         self.symbol = 1.0 / (gridmod.kinetic_multiplier(grid, spec.masses) - z)
         self._lab_axes = tuple(range(spec.n))
         self.constants = sysmod.bound_constants(spec)
+        self.maps = [pair_map(p) for p in self.pairs]
+        self._diag_cache = None
 
     # -- norm bookkeeping ---------------------------------------------------
 
@@ -391,6 +398,22 @@ class ChannelSystem:
         extra = (1,) * (coeffs.ndim - self.spec.n)
         return self.symbol.reshape(self.symbol.shape + extra) * coeffs
 
+    def lift(self, k, coeffs):
+        """T_k on lab coefficients, to channel k."""
+        return self.maps[k].forward(coeffs)
+
+    def drop(self, k, chi):
+        """T_k*, from channel k back to lab coefficients."""
+        return self.maps[k].adjoint(chi)
+
+    def own(self, k, chi):
+        """T_k R0 T_k* chi, a same-pair block without g."""
+        return self._diagonal()[k][0](chi)
+
+    def apply_diag_inverse(self, fields):
+        """Exact inverse of the same-pair blocks, channel by channel."""
+        return [f + self._diagonal()[k][1](f) for k, f in enumerate(fields)]
+
     def smoothed(self, fields):
         """R0 of the sum of the channel adjoints T_k* fields[k]."""
         total = self.drop(0, fields[0])
@@ -410,61 +433,6 @@ class ChannelSystem:
         g = self.spec.g
         return [-g * (self.lift(k, smoothed) - self.own(k, f))
                 for k, f in enumerate(fields)]
-
-    # -- the resolvent --------------------------------------------------------
-
-    def solve_channels(self, fields):
-        """Solve (1 - g T R0 T*) x = fields by the guarded Neumann iteration."""
-        return invert_lambda(self, fields)
-
-    def apply(self, field):
-        """(H - z)^{-1} field as R0 f + g R0 T* (1 - g T R0 T*)^{-1} T R0 f."""
-        u0 = self.free(scipy.fft.fftn(field, axes=self._lab_axes))
-        channels = [self.lift(k, u0) for k in range(len(self.pairs))]
-        sol = self.solve_channels(channels)
-        return scipy.fft.ifftn(u0 + self.spec.g * self.smoothed(sol),
-                               axes=self._lab_axes)
-
-    __call__ = apply
-
-
-class LambdaMatrix(ChannelSystem):
-    """The coupled channel system 1 - g A R0 A*: the kk and limit resolvent.
-
-    Holds one coupling map per pair: limit maps for eps=None (``mode``
-    "limit", the contact operator's resolvent), sheared or narrow-width
-    maps otherwise (``mode`` "kk"); ``lift`` and ``drop`` are just the
-    maps, which run in momentum.  The cross-pair coupling goes through
-    the lab coefficients, so a full application costs one product with
-    the free-resolvent symbol regardless of the number of pairs.  Each
-    same-pair block is
-    factored once, at first use, per reduced-momentum slice on the
-    coupling support: in closed form for the limit maps (rank one, the
-    unit window column times the class multiplier) and otherwise as the
-    materialized slice matrices, whose batched eigendecomposition
-    U diag(lam) U* gives the inverse as 1 + U diag(g lam/(1 - g lam)) U*.
-    The block and its inverse are then slice-wise multiplications.
-    """
-
-    def __init__(self, grid, spec, z, eps=None, force=False):
-        super().__init__(grid, spec, z, force)
-        self.eps = None if eps is None else float(eps)
-        self.mode = "limit" if eps is None else "kk"
-        self.maps = [coupling_map(grid, spec, p, eps) for p in self.pairs]
-        self._diag_cache = None
-
-    def lift(self, k, coeffs):
-        return self.maps[k].forward(coeffs)
-
-    def drop(self, k, chi):
-        return self.maps[k].adjoint(chi)
-
-    def own(self, k, chi):
-        return self._diagonal()[k][0](chi)
-
-    def apply_diag_inverse(self, fields):
-        """Exact inverse of the same-pair blocks, channel by channel."""
-        return [f + self._diagonal()[k][1](f) for k, f in enumerate(fields)]
 
     # -- the factored diagonal ------------------------------------------------
 
@@ -492,6 +460,36 @@ class LambdaMatrix(ChannelSystem):
                         _slice_matmul, vecs @ (gain * vecs.conj().swapaxes(-1, -2)))
                 self._diag_cache.append((block, correction, lam))
         return self._diag_cache
+
+    # -- the resolvent --------------------------------------------------------
+
+    def solve_channels(self, fields):
+        """Solve (1 - g T R0 T*) x = fields by the guarded Neumann iteration."""
+        return invert_lambda(self, fields)
+
+    def apply(self, field):
+        """(H - z)^{-1} field as R0 f + g R0 T* (1 - g T R0 T*)^{-1} T R0 f."""
+        u0 = self.free(scipy.fft.fftn(field, axes=self._lab_axes))
+        channels = [self.lift(k, u0) for k in range(len(self.pairs))]
+        sol = self.solve_channels(channels)
+        return scipy.fft.ifftn(u0 + self.spec.g * self.smoothed(sol),
+                               axes=self._lab_axes)
+
+    __call__ = apply
+
+
+class LambdaMatrix(ChannelSystem):
+    """The coupled channel system 1 - g A R0 A*: the kk and limit resolvent.
+
+    Its channel map is one coupling map per pair: limit maps for eps=None
+    (``mode`` "limit", the contact operator's resolvent), sheared or
+    narrow-width maps otherwise (``mode`` "kk").
+    """
+
+    def __init__(self, grid, spec, z, eps=None, force=False):
+        pair_map = functools.partial(coupling_map, grid, spec, eps=eps)
+        super().__init__(grid, spec, z, pair_map, eps, force)
+        self.mode = "limit" if eps is None else "kk"
 
 
 def _rank_one(unit, scale, chi):

@@ -134,7 +134,8 @@ def build_hamiltonian(grid, spec, eps):
 # Fourier coefficients to a channel field on the support rows x reduced
 # momentum (pair class K, then the spectators), ``adjoint`` takes one back.
 # Both commute with joint translations, so each is the class gather, one
-# (m x N) matrix per class K, and the class scatter on the way back.
+# (m x N) matrix per class K, and the class scatter on the way back.  The
+# theta route's channel map, the bare hyperplane trace, is one more such map.
 
 
 class _SupportRows:
@@ -225,6 +226,21 @@ class LimitCouplingMap(_SupportRows):
         samples = renormalized_samples(grid)
         super().__init__(grid, spec, pair, samples,
                          np.ones((np.count_nonzero(samples), grid.npoints)))
+
+
+class TraceMap(_SupportRows):
+    """The hyperplane trace itself, as one support row: the relative origin
+    x = 0 with weight h^(-1/2) and no profile window.
+
+    T R0 T* is then (1/h) trace R0 (diagonal scatter), the theta route's
+    channel matrix, and sqrt(h) times the weight is one, so the limit map's
+    rank-one closed form with the class multiplier is its exact diagonal.
+    """
+
+    def __init__(self, grid, spec, pair):
+        samples = np.zeros(grid.npoints)
+        samples[grid.npoints // 2] = grid.h ** -0.5
+        super().__init__(grid, spec, pair, samples, np.ones((1, grid.npoints)))
 
 
 def coupling_map(grid, spec, pair, eps=None):

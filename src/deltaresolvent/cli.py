@@ -151,7 +151,8 @@ def load_config(path):
                 cfg.read_file(fh)
         except configparser.Error as exc:
             raise ConfigError("config parse error: %s" % exc)
-    for section in cfg.sections():
+    # configparser copies [DEFAULT] into every section; no key may live there
+    for section in [cfg.default_section] + cfg.sections():
         for key in cfg[section]:
             if key not in _OPTIONS.get(section, {}):
                 raise ConfigError("%s %s: unknown key" % (section, key))

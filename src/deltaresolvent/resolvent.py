@@ -10,17 +10,19 @@ Four interchangeable routes to (H - z)^{-1} psi on the lattice:
              R0 + g R0 A* (1 - g A R0 A*)^{-1} A R0 at width eps;
   limit   -- the same factorization with the zero-width coupling maps,
              which is the contact operator's resolvent;
-  theta   -- the reduced-space route: hyperplane traces in place of the
-             coupling maps, with the channel matrix inverted by the
+  theta   -- the reduced-space route: the hyperplane trace in place of
+             the coupling maps, with the channel matrix inverted by the
              same diagonal-exact Neumann iteration.
 
 kk and limit are blocks.LambdaMatrix (here also named FactoredAssembly),
-theta is TraceAssembly: channel systems sharing one resolvent apply.
+theta is TraceAssembly: both are blocks.ChannelSystem, which does all the
+channel arithmetic, and differ only in the map each pair gets.
 
 All four agree on their common domain (real z below the guarded
 threshold); the test suite pins the pairwise deviations.
 """
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -31,7 +33,7 @@ from . import grid as gridmod
 from . import system as sysmod
 from .blocks import (CHANNEL_TOL, MAX_TERMS, ChannelSystem, LambdaMatrix,
                      channel_norm, invert_lambda, pair_class_multiplier)
-from .bump import build_hamiltonian
+from .bump import TraceMap, build_hamiltonian
 from .errors import ConfigError, NoConvergence
 
 
@@ -71,45 +73,21 @@ FactoredAssembly = LambdaMatrix
 class TraceAssembly(ChannelSystem):
     """Reduced-space resolvent through the hyperplane-trace channels.
 
-    The channel matrix here is 1 - g (trace_sigma R0 trace_nu*); its
-    diagonal is an exact per-momentum-class multiplier (a plain product on
-    the reduced-momentum channels), so inversion reuses the same Neumann
-    solver as the coupled-channel route, with the off-diagonal part
-    applied through the laboratory grid.  A final residual check guards
-    the weaker a priori contraction bookkeeping.
+    The channel map is the trace itself, one support row per pair
+    (bump.TraceMap), so the channel matrix is 1 - g (trace_sigma R0
+    trace_nu*) and its diagonal is the exact class multiplier, a rank-one
+    block as for the limit maps.  A sibling of LambdaMatrix, not a
+    subclass, so that its Neumann terms are told apart from the
+    coupling-map routes'.  A final residual check guards the weaker a
+    priori contraction bookkeeping.
     """
 
     mode = "theta"
 
     def __init__(self, grid, spec, z, force=False):
-        super().__init__(grid, spec, z, force)
-        # per pair and flattened reduced momentum: the block and its inverse
-        mults = [pair_class_multiplier(grid, spec, p, self.z).reshape(-1, 1)
-                 for p in self.pairs]
-        self._diagonal = [(m, 1.0 / (1.0 - spec.g * m)) for m in mults]
+        super().__init__(grid, spec, z, functools.partial(TraceMap, grid, spec),
+                         None, force)
         self.last_residual = None
-
-    # -- channel-space pieces -------------------------------------------------
-
-    def lift(self, k, coeffs):
-        """The trace in momentum: (1/N) times the sum over each pair class."""
-        classes = gridmod.class_gather(gridmod.lab_axes_to_front(coeffs, self.pairs[k]))
-        return np.sum(classes, axis=1) / self.grid.npoints
-
-    def drop(self, k, chi):
-        """The trace adjoint in momentum: each class value on all its members, / h."""
-        values = chi / self.grid.h                                   # [K, rest]
-        spread = np.broadcast_to(values[:, None],
-                                 values.shape[:1] + (self.grid.npoints,) + values.shape[1:])
-        return gridmod.lab_axes_from_front(gridmod.class_scatter(spread), self.pairs[k])
-
-    def own(self, k, chi):
-        mult = self._diagonal[k][0]
-        return (mult * chi.reshape(mult.shape[0], -1)).reshape(chi.shape)
-
-    def apply_diag_inverse(self, fields):
-        return [(inv * f.reshape(inv.shape[0], -1)).reshape(f.shape)
-                for f, (_, inv) in zip(fields, self._diagonal)]
 
     def solve_channels(self, fields):
         solution = invert_lambda(self, fields)

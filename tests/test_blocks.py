@@ -21,10 +21,8 @@ PAIR2 = enumerate_pairs(SPEC2)[0]
 
 
 def channel_shape(lam, k):
-    # trace channels live on the reduced lattice, coupling-map channels
-    # on the map's support rows of the relative coordinate times it
-    rows = () if isinstance(lam, TraceAssembly) else (lam.maps[k].support.size,)
-    return rows + lam.grid.shape[1:]
+    # every channel lives on its map's support rows times the reduced lattice
+    return (lam.maps[k].support.size,) + lam.grid.shape[1:]
 
 
 def random_channels(lam, rng):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from deltaresolvent.bump import (BumpProfile, ChainCouplingMap, DEFAULT_PROFILE,
-                                 LimitCouplingMap, ShearCouplingMap,
+                                 LimitCouplingMap, ShearCouplingMap, TraceMap,
                                  build_hamiltonian, coupling_map,
                                  renormalized_samples, resolution_ok,
                                  sampled_pair_potential)
 from deltaresolvent.errors import PotentialOverflowsBox, UnresolvedBump
-from deltaresolvent.forms import apply_trace, diagonal_scatter
+from deltaresolvent.forms import apply_trace, diagonal_scatter, trace_adjoint
 from deltaresolvent.grid import (Grid, lab_axes_from_front, lab_axes_to_front,
                                  minimum_image_separation, pair_frame_adjoint,
                                  pair_frame_forward, random_band_limited)
@@ -190,6 +190,32 @@ def test_support_rows_match_the_full_row_composition(masses):
 
 def _relative_gap(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("grid, masses", [
+    (Grid(32, 6.4, 2), (1.0, 1.5)),
+    (Grid(16, 3.2, 3), (1.0, 0.5, 2.0)),
+    (Grid(8, 3.2, 4), (1.0, 2.0, 0.5, 1.5)),
+], ids=["n2", "n3", "n4"])
+def test_trace_map_is_the_position_space_trace(grid, masses):
+    """The theta route's one-row map is the independent trace of the forms
+    module under the FFT: forward is h^(-1/2) apply_trace, adjoint is
+    h^(1/2) trace_adjoint, for every pair."""
+    spec = SystemSpec(masses=masses, g=1.0)
+    lab, reduced = tuple(range(spec.n)), tuple(range(spec.n - 1))
+    rng = np.random.default_rng(12)
+    for pair in enumerate_pairs(spec):
+        tmap = TraceMap(grid, spec, pair)
+        f = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        u = (rng.standard_normal(grid.shape[1:])
+             + 1j * rng.standard_normal(grid.shape[1:]))
+        forward = tmap.forward(np.fft.fftn(f, axes=lab))
+        assert forward.shape == (1,) + grid.shape[1:]
+        assert _relative_gap(forward[0], grid.h ** -0.5 * np.fft.fftn(
+            apply_trace(grid, spec, pair, f), axes=reduced)) <= 1e-13
+        assert _relative_gap(tmap.adjoint(np.fft.fftn(u, axes=reduced)[None]),
+                             grid.h ** 0.5 * np.fft.fftn(
+                                 trace_adjoint(grid, spec, pair, u), axes=lab)) <= 1e-13
 
 
 def test_sampled_potential_overflow_guard():

@@ -380,6 +380,7 @@ def test_blas_thread_environment_leaves_csv_bodies_unchanged(tmp_path, command,
     ("spectrum", "spectrum", "tol", "1e-9"),
     ("kernels", "kernels", "point", "3"),
     ("forms", "form", "count", "5"),
+    ("kernels", "DEFAULT", "masses", "1.0, 2.0"),
 ])
 def test_bad_value_is_a_config_error_naming_its_key(tmp_path, capsys, command,
                                                     section, key, value):

@@ -6,6 +6,8 @@ rows then read 0, so a rename would otherwise go unnoticed.
 
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -90,23 +92,39 @@ def test_chain_lift_and_drop_call_the_traced_chain_map_methods(monkeypatch):
         log.clear()
 
 
-def test_invert_lambda_calls_the_traced_lambda_methods(monkeypatch):
-    """The tracer times the Neumann terms through these two LambdaMatrix methods."""
+@pytest.mark.parametrize("route", ["LambdaMatrix", "TraceAssembly"])
+def test_invert_lambda_calls_the_traced_lambda_methods(monkeypatch, route):
+    """The tracer times the Neumann terms through these two methods, patched
+    on LambdaMatrix as the blocks rows and on TraceAssembly as the theta rows.
+
+    Both inherit them from ChannelSystem.  Were TraceAssembly a subclass of
+    LambdaMatrix, the two wrappers would nest and theta's terms would also
+    count in the blocks rows.
+    """
     import numpy as np
 
     from deltaresolvent.blocks import LambdaMatrix, invert_lambda
     from deltaresolvent.grid import Grid
+    from deltaresolvent.resolvent import TraceAssembly
     from deltaresolvent.system import SystemSpec
 
-    log = []
-    for name in ("apply_offdiag", "apply_diag_inverse"):
-        _count_calls(monkeypatch, LambdaMatrix, name, log)
+    logs = {LambdaMatrix: [], TraceAssembly: []}
+    for cls, log in logs.items():
+        for name in ("apply_offdiag", "apply_diag_inverse"):
+            _count_calls(monkeypatch, cls, name, log)
     spec = SystemSpec(masses=(1.0, 1.0, 1.0), g=1.0)
     grid = Grid(16, 3.2, 3)
-    lam = LambdaMatrix(grid, spec, -20.0, eps=0.2)
+    if route == "LambdaMatrix":
+        lam = LambdaMatrix(grid, spec, -20.0, eps=0.2)
+    else:
+        assert not issubclass(TraceAssembly, LambdaMatrix)
+        lam = TraceAssembly(grid, spec, -20.0)
     field = np.ones(grid.shape, dtype=complex)
     invert_lambda(lam, [lam.lift(k, field) for k in range(len(lam.pairs))])
+    log = logs[type(lam)]
     terms = log.count("apply_offdiag")
     assert terms >= 1
     assert log == ["apply_diag_inverse"] + ["apply_offdiag",
                                             "apply_diag_inverse"] * terms
+    if route == "TraceAssembly":
+        assert logs[LambdaMatrix] == []

@@ -103,7 +103,7 @@ def test_theta_adjoint_symmetry():
     """<u, M v> = <M u, v> for the trace channel matrix M, on random pairs."""
     theta = TraceAssembly(GRID_WIDE, SPEC2, -16.0)
     rng = np.random.default_rng(4)
-    shape = (GRID_WIDE.npoints,)
+    shape = (1, GRID_WIDE.npoints)
     w = GRID_WIDE.h
     worst = 0.0
     for _ in range(6):
