@@ -186,8 +186,8 @@ class ChainCouplingMap(_SupportRows):
         waves = np.exp(1j * np.outer(pts, grid.p))
         waves[:, grid.npoints // 2] = np.cos(np.pi * pts / grid.h)
         squeeze = scipy.fft.fft(waves, axis=1)   # [m, a]
-        mixer = gridmod.pair_frame_mixer(grid, *sysmod.frame_weights(spec, pair))
-        super().__init__(grid, spec, pair, samples, squeeze @ mixer)
+        rows = gridmod.pair_frame_rows(grid, *sysmod.frame_weights(spec, pair), squeeze)
+        super().__init__(grid, spec, pair, samples, rows)
 
 
 class ShearCouplingMap(_SupportRows):

@@ -176,20 +176,44 @@ def class_scatter(classes):
     return classes[(k[:, None] + k) % k.size, k[:, None]]
 
 
+def _pair_frame_waves(grid, alpha, beta):
+    """The member waves V[a, k1] = exp(i alpha p_k1 x_a) and
+    W[a, k2] = exp(-i beta p_k2 x_a) of the pair-frame change.
+
+    The unpaired Nyquist wavenumber -pi/h is split evenly between +-pi/h,
+    its wave a cosine, so that a real field stays real.
+    """
+    N = grid.npoints
+    V = np.exp(1j * alpha * np.outer(grid.x, grid.p))
+    W = np.exp(-1j * beta * np.outer(grid.x, grid.p))
+    V[:, N // 2] = np.cos(alpha * np.pi * grid.x / grid.h)
+    W[:, N // 2] = np.cos(beta * np.pi * grid.x / grid.h)
+    return V, W
+
+
 def pair_frame_mixer(grid, alpha, beta):
     """The pair-frame change on each class K, an (N x N) matrix per class.
 
-    mixer[K, a, k1] = exp(i (alpha p_k1 - beta p_(K - k1)) x_a) / N.  The
-    unpaired Nyquist wavenumber -pi/h is split evenly between +-pi/h, its
-    wave a cosine, so that a real field stays real.
+    mixer[K, a, k1] = V[a, k1] W[a, (K - k1) mod N] / N with the waves of
+    :func:`_pair_frame_waves`, i.e. exp(i (alpha p_k1 - beta p_(K - k1)) x_a) / N.
     """
     N = grid.npoints
-    V = np.exp(1j * alpha * np.outer(grid.x, grid.p))        # [a, k1]
-    W = np.exp(-1j * beta * np.outer(grid.x, grid.p))        # [a, k2]
-    V[:, N // 2] = np.cos(alpha * np.pi * grid.x / grid.h)
-    W[:, N // 2] = np.cos(beta * np.pi * grid.x / grid.h)
+    V, W = _pair_frame_waves(grid, alpha, beta)
     K = np.arange(N)
     return V[None, :, :] * W[:, (K[:, None] - K) % N].transpose(1, 0, 2) / N
+
+
+def pair_frame_rows(grid, alpha, beta, rows):
+    """rows @ pair_frame_mixer(grid, alpha, beta)[K] for every class K, [K, m, k1].
+
+    Builds the mixer one class at a time, so it needs m N^2 memory where
+    the whole mixer takes N^3, and each product stays a small matrix
+    product.
+    """
+    N = grid.npoints
+    V, W = _pair_frame_waves(grid, alpha, beta)
+    k = np.arange(N)
+    return np.stack([rows @ (V * W[:, (K - k) % N] / N) for K in range(N)])
 
 
 def pair_frame_forward(grid, coeffs, alpha, beta):
@@ -289,37 +313,64 @@ def minimum_image_separation(grid):
     return d * grid.h
 
 
+def total_momentum_sectors(grid):
+    """Flat lab-coefficient indices sorted by total momentum, an int [K, s] array.
+
+    Row K lists the multi-indices (k_1, ..., k_n) with k_1 + ... + k_n = K
+    (mod N), n = grid.ndim; s runs over (k_1, ..., k_(n-1)) in C order and
+    k_n = (K - k_1 - ... - k_(n-1)) mod N.  At n = 2 this is the layout of
+    :func:`class_gather`.
+    """
+    N, n = grid.npoints, grid.ndim
+    head = np.indices((N,) * (n - 1)).reshape(n - 1, N ** (n - 1))  # [axis, s]
+    last = (np.arange(N)[:, None] - head.sum(axis=0)) % N        # [K, s]
+    return np.ravel_multi_index(tuple(head[:, None, :]) + (last,), grid.shape)
+
+
 def shifted_solver(ham, z):
     """Handle applying (H_eps - z)^{-1}, with all set-up done once here.
 
-    Small grids factor the dense shifted matrix once by LU (a real one for
-    real z, so complex right-hand sides cost two triangular solves) and
-    check every solution's residual against the operator itself; larger
-    grids run GMRES preconditioned by the free resolvent (exact when
-    g = 0) to _GMRES_TOL.  At real z a real right-hand side gets a real
-    solution, and the handle tolerates trailing batch axes.
+    H_eps commutes with joint lattice translations, so on lab Fourier
+    coefficients it is block diagonal in the total momentum K
+    (:func:`total_momentum_sectors`).  Small grids probe the operator once
+    with N^(n-1) combs, one unit coefficient per sector each, to read off
+    every sector's (N^(n-1) x N^(n-1)) matrix, and invert all N shifted
+    sector matrices in one batch; a solve is then one FFT pair around a
+    batched matmul, and every solution's residual is checked against the
+    operator itself.  Larger grids run GMRES preconditioned by the free
+    resolvent (exact when g = 0) to _GMRES_TOL.  At real z a real
+    right-hand side gets a real solution, and the handle tolerates
+    trailing batch axes.
     """
     grid = ham.grid
     size, shape = grid.size, grid.shape
+    axes = tuple(range(grid.ndim))
 
     def shifted(flat):
         f = flat.reshape(shape + flat.shape[1:])
         return (ham.apply(f) - z * f).reshape(flat.shape)
 
     if size <= DENSE_LIMIT:
-        mat = np.asarray(ham.matrix(), dtype=np.result_type(z, float))
-        mat[np.diag_indices(size)] -= z
+        sectors = total_momentum_sectors(grid)
+        dim = sectors.shape[1]
+        combs = np.zeros((size, dim))
+        combs[sectors, np.arange(dim)] = 1.0
+        probed = scipy.fft.fftn(
+            ham.apply(scipy.fft.ifftn(combs.reshape(shape + (dim,)), axes=axes)),
+            axes=axes).reshape(size, dim)
+        mats = probed[sectors]                   # [K, t, s]: row t of column s
+        mats[:, np.arange(dim), np.arange(dim)] -= z
         try:
-            lu = scipy.linalg.lu_factor(mat, overwrite_a=True)
-        except scipy.linalg.LinAlgError as exc:
+            inverses = np.linalg.inv(mats)
+        except np.linalg.LinAlgError as exc:
             raise ShiftTooCloseToSpectrum(str(exc)) from exc
 
         def solve(flat):
-            if np.iscomplexobj(flat) and np.isrealobj(lu[0]):
-                sol = (scipy.linalg.lu_solve(lu, flat.real)
-                       + 1j * scipy.linalg.lu_solve(lu, flat.imag))
-            else:
-                sol = scipy.linalg.lu_solve(lu, flat)
+            fields = shape + flat.shape[1:]
+            coeffs = scipy.fft.fftn(flat.reshape(fields), axes=axes).reshape(flat.shape)
+            sol = np.empty_like(coeffs)
+            sol[sectors] = inverses @ coeffs[sectors]
+            sol = scipy.fft.ifftn(sol.reshape(fields), axes=axes).reshape(flat.shape)
             resid = np.linalg.norm(shifted(sol) - flat) / (np.linalg.norm(flat) or 1.0)
             if not np.isfinite(resid) or resid > 1e-6:
                 raise ShiftTooCloseToSpectrum(
@@ -348,7 +399,8 @@ def shifted_solver(ham, z):
     def apply(field):
         field = np.asarray(field)
         sol = solve(field.reshape(size, -1)).reshape(field.shape)
-        # GMRES runs complex; the imaginary part it leaves is solver noise
+        # both paths run complex; at real z the imaginary part they leave on a
+        # real right-hand side is rounding or solver noise
         return sol.real if np.isrealobj(field) and np.isrealobj(z) else sol
 
     return apply

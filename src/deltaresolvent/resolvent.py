@@ -3,8 +3,8 @@
 Four interchangeable routes to (H - z)^{-1} psi on the lattice:
 
   direct  -- assemble the width-eps Hamiltonian and solve the shifted
-             linear system (dense LU on small grids, preconditioned
-             GMRES above that);
+             linear system (inverted total-momentum sector by sector on
+             small grids, preconditioned GMRES above that);
   kk      -- block factorization through the coupling maps: free
              resolvent plus the coupled-channel correction
              R0 + g R0 A* (1 - g A R0 A*)^{-1} A R0 at width eps;
@@ -40,9 +40,9 @@ from .errors import ConfigError, NoConvergence
 class DirectAssembly:
     """(H_eps - z)^{-1} by direct linear solves on the full lattice.
 
-    Holds one shifted-solver handle: a dense LU factored once on small
-    grids, preconditioned GMRES above that.  The only route that accepts
-    complex z.
+    Holds one shifted-solver handle: the shifted total-momentum sector
+    matrices inverted once on small grids, preconditioned GMRES above
+    that.  The only route that accepts complex z.
     """
 
     mode = "direct"

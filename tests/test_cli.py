@@ -324,7 +324,7 @@ def _thread_config(tmp_path):
 @_CSV_COMMANDS
 def test_thread_count_leaves_csv_bodies_unchanged(tmp_path, command, tables):
     """blocks.csv holds a LAPACK eigenvalue, and kk-check.csv and spectrum.csv
-    rest on a dense LU, whose last digits follow the BLAS thread count; the
+    rest on dense sector inverses, whose last digits follow the BLAS thread count; the
     commands compute those at one thread whatever --threads says."""
     cfg = _thread_config(tmp_path)
     one, two = tmp_path / "one", tmp_path / "two"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 
 from deltaresolvent.errors import NoConvergence, ShiftTooCloseToSpectrum
@@ -9,7 +10,7 @@ from deltaresolvent.grid import (Grid, class_gather, class_scatter,
                                  lowest_eigenvalues, minimum_image_separation,
                                  pair_frame_adjoint,
                                  pair_frame_forward, random_band_limited,
-                                 shifted_solver, to_momentum)
+                                 shifted_solver, to_momentum, total_momentum_sectors)
 from deltaresolvent.system import SystemSpec, enumerate_pairs, frame_weights
 from deltaresolvent.bump import build_hamiltonian
 from deltaresolvent.resolvent import DirectAssembly
@@ -191,16 +192,72 @@ def test_solve_shifted_dense_and_iterative_agree():
     assert np.linalg.norm(res) / np.linalg.norm(rhs_big) < 1e-8
 
 
+def total_momenta(grid):
+    """(k_1 + ... + k_n) mod N at every lab multi-index, from the indices alone."""
+    return np.sum(np.indices(grid.shape), axis=0) % grid.npoints
+
+
 def test_solve_shifted_rejects_near_spectrum_shift():
-    spec = SystemSpec(masses=(1.0, 1.0), g=1.0)
+    """Shifts at eigenvalues of the dense matrix are refused, in the K = 0
+    sector of the ground state and in sectors of total momentum K != 0."""
+    spec = SystemSpec(masses=(1.0, 1.0), g=4.0)   # K = 1, 2 hold bound states
     grid = Grid(32, 6.4, 2)
+    N = grid.npoints
     ham = build_hamiltonian(grid, spec, 0.8)
-    # the dense matrix tells us an exact eigenvalue to aim at
-    eigs = np.linalg.eigvalsh(ham.matrix())
-    with pytest.raises(ShiftTooCloseToSpectrum):
-        shifted_solver(ham, eigs[0])(np.ones(grid.shape))
-    with pytest.raises(ShiftTooCloseToSpectrum):
-        DirectAssembly(grid, spec, eigs[0], 0.8).apply(np.ones(grid.shape))
+    # the dense matrix tells us exact eigenvalues to aim at
+    vals, vecs = np.linalg.eigh(ham.matrix())
+    power = np.abs(scipy.fft.fft2(vecs.reshape(grid.shape + (-1,)), axes=(0, 1))) ** 2
+    momenta = total_momenta(grid)
+    rhs = np.random.default_rng(5).standard_normal(grid.shape)
+    for sector in (0, 1, 2):
+        # K and -K are degenerate (parity), so an eigenvector may mix the two
+        inside = np.isin(momenta, (sector, N - sector))
+        share = power[inside].sum(axis=0) / power.sum(axis=(0, 1))
+        index = np.flatnonzero(share > 1.0 - 1e-10)[0]
+        assert vals[index] < 0.0
+        with pytest.raises(ShiftTooCloseToSpectrum):
+            shifted_solver(ham, vals[index])(rhs)
+        with pytest.raises(ShiftTooCloseToSpectrum):
+            DirectAssembly(grid, spec, vals[index], 0.8).apply(rhs)
+
+
+@pytest.mark.parametrize("npoints, box, ndim", [(8, 3.2, 2), (8, 3.2, 3)])
+def test_total_momentum_sectors_partition_the_lattice(npoints, box, ndim):
+    grid = Grid(npoints, box, ndim)
+    sectors = total_momentum_sectors(grid)
+    N = grid.npoints
+    assert sectors.shape == (N, N ** (ndim - 1))
+    assert np.array_equal(np.sort(sectors, axis=None), np.arange(grid.size))
+    momenta = total_momenta(grid).reshape(-1)
+    assert np.array_equal(momenta[sectors], np.repeat(np.arange(N)[:, None],
+                                                      sectors.shape[1], axis=1))
+
+
+def test_total_momentum_sectors_are_the_class_gather_at_two_particles():
+    grid = Grid(16, 3.2, 2)
+    rng = np.random.default_rng(21)
+    coeffs = rng.standard_normal(grid.shape + (3,)) + 1j * rng.standard_normal(grid.shape + (3,))
+    gathered = coeffs.reshape(grid.size, -1)[total_momentum_sectors(grid)]
+    assert np.array_equal(gathered, class_gather(coeffs))
+
+
+@pytest.mark.parametrize("npoints, box, masses, z", [
+    (32, 6.4, (1.0, 2.0), -5.0),
+    (32, 6.4, (1.0, 2.0), complex(-5.0, 0.5)),
+    (16, 3.2, (1.0, 2.0, 3.0), -4.0),
+])
+def test_shifted_solver_matches_dense_reference(npoints, box, masses, z):
+    """The per-sector solve equals a dense solve with the assembled matrix."""
+    spec = SystemSpec(masses=masses, g=1.0)
+    grid = Grid(npoints, box, len(masses))
+    ham = build_hamiltonian(grid, spec, 0.8)
+    rng = np.random.default_rng(17)
+    rhs = (rng.standard_normal(grid.shape + (2,))
+           + 1j * rng.standard_normal(grid.shape + (2,)))
+    dense = ham.matrix() - z * np.eye(grid.size)
+    want = np.linalg.solve(dense, rhs.reshape(grid.size, 2)).reshape(rhs.shape)
+    got = shifted_solver(ham, z)(rhs)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("npoints, box, z", [(32, 6.4, -5.0),

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from deltaresolvent.errors import AboveThreshold, ConfigError, NoConvergence
 from deltaresolvent.grid import (Grid, HamiltonianEps, hermitian_norm,
@@ -254,8 +253,9 @@ def test_ground_energy_small_box():
 
 
 def test_ground_energy_assembles_and_factors_once(monkeypatch):
-    """Every Lanczos step reuses one dense matrix and one LU factorization."""
-    counts = {"lu_factor": 0, "matrix": 0}
+    """Every Lanczos step reuses one batched inversion of the total-momentum
+    sector matrices, and no full dense matrix is assembled."""
+    counts = {"inv": 0, "matrix": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -263,14 +263,13 @@ def test_ground_energy_assembles_and_factors_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(scipy.linalg, "lu_factor",
-                        counted("lu_factor", scipy.linalg.lu_factor))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
     monkeypatch.setattr(HamiltonianEps, "matrix",
                         counted("matrix", HamiltonianEps.matrix))
     e = ground_energy(Grid(32, 6.4, 2), SPEC2, 0.8, shift=-2.0, steps=40,
                       rng=np.random.default_rng(15))
     assert e == pytest.approx(E0_SMALL_BOX, abs=1e-4)
-    assert counts == {"lu_factor": 1, "matrix": 1}
+    assert counts == {"inv": 1, "matrix": 0}
 
 
 def test_ground_energy_raises_when_steps_run_out():
