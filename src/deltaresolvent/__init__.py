@@ -24,7 +24,7 @@ from .greens import greens_closed, greens_quadrature
 from .grid import (Grid, free_resolvent, lowest_eigenvalues, random_band_limited,
                    shifted_solver)
 from .resolvent import (DirectAssembly, FactoredAssembly, TraceAssembly,
-                        assemble, convergence_sweep, ground_energy, pole_scan)
+                        convergence_sweep, ground_energy, pole_scan)
 from .system import SystemSpec, bound_constants, enumerate_pairs, parse_masses
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "TraceAssembly",
     "UnresolvedBump",
     "apply_trace",
-    "assemble",
     "bound_constants",
     "build_hamiltonian",
     "convergence_sweep",

@@ -312,10 +312,9 @@ def cmd_spectrum(args, cfg):
     for level, grid in enumerate(grids):
         energies = []
         for eps in eps_values:
-            with _blas_threads(1):
-                e = resolventmod.ground_energy(
-                    grid, spec, eps, shift=shift, steps=steps,
-                    rng=np.random.default_rng(args.seed))
+            e = resolventmod.ground_energy(
+                grid, spec, eps, shift=shift, steps=steps,
+                rng=np.random.default_rng(args.seed))
             energies.append(e)
             rows.append((level, grid.npoints, grid.box, eps, e, ""))
         extrapolated = None
@@ -373,8 +372,7 @@ def _default_block_rows():
     shared = blocksmod.OffDiagonalBlock(
         grid3, spec3, sysmod.enumerate_pairs(spec3)[0],
         sysmod.enumerate_pairs(spec3)[1], z)
-    with _blas_threads(1):
-        norm = shared.norm()
+    norm = shared.norm()
     bound = shared.claimed_bound()
     rows.append(("(1,2)", "(1,3)", "", norm, bound, norm / bound))
     return rows
@@ -441,17 +439,16 @@ def cmd_kk_check(args, cfg):
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
-    with _blas_threads(1):
-        direct = resolventmod.DirectAssembly(grid, spec, z, eps)
-        factored = blocksmod.LambdaMatrix(grid, spec, z, eps, force=args.force)
-        for k in range(probes):
-            psi = (rng.standard_normal(grid.shape)
-                   + 1j * rng.standard_normal(grid.shape))
-            ua = direct.apply(psi)
-            ub = factored.apply(psi)
-            dev = float(np.linalg.norm(ub - ua) / np.linalg.norm(ua))
-            worst = max(worst, dev)
-            rows.append((k, dev))
+    direct = resolventmod.DirectAssembly(grid, spec, z, eps)
+    factored = blocksmod.LambdaMatrix(grid, spec, z, eps, force=args.force)
+    for k in range(probes):
+        psi = (rng.standard_normal(grid.shape)
+               + 1j * rng.standard_normal(grid.shape))
+        ua = direct.apply(psi)
+        ub = factored.apply(psi)
+        dev = float(np.linalg.norm(ub - ua) / np.linalg.norm(ua))
+        worst = max(worst, dev)
+        rows.append((k, dev))
     return Report(("probe", "deviation"), rows, {
         "spec": {"masses": list(spec.masses), "g": spec.g},
         "grid": {"npoints": grid.npoints, "box": grid.box},
@@ -562,16 +559,17 @@ def _bundled_openblas():
 
 
 @contextlib.contextmanager
-def _blas_threads(threads):
-    """BLAS threads set to ``threads`` inside (None: as they are), restored on
-    exit; yields the count read back (None without controls or agreement).
-    LAPACK's threaded LU and tridiagonal reduction sum in an order that follows
-    the count, so the LAPACK results a command writes to CSV run at one thread."""
+def _blas_threads():
+    """BLAS at one thread inside, restored on exit; yields the count read back
+    (None without controls or agreement).  One thread for two reasons: threaded
+    LAPACK (LU, tridiagonal reduction) and GEMM sum in an order that follows
+    the count, so the digits a command writes to CSV would follow it too; and
+    a multi-threaded GEMM on these small matrices slows scipy's ARPACK loop."""
     blas = _bundled_openblas()
     before = [get() for get, _ in blas]
     try:
-        for _, put in blas if threads is not None else ():
-            put(threads)
+        for _, put in blas:
+            put(1)
         counts = {get() for get, _ in blas}
         yield counts.pop() if len(counts) == 1 else None
     finally:
@@ -593,9 +591,8 @@ def build_parser():
     common.add_argument("--seed", type=int, default=0, metavar="U64",
                         help="master RNG seed (default 0)")
     common.add_argument("--threads", type=int, default=None, metavar="N",
-                        help="FFT worker threads and BLAS threads (the "
-                             "OpenBLAS bundled with numpy and scipy); default: "
-                             "the environment's counts")
+                        help="FFT worker threads (scipy.fft; default 1); BLAS "
+                             "always runs at one thread")
     common.add_argument("--force", action="store_true",
                         help="unlock z at or above the inversion threshold "
                              "(unsupported; labeled in output metadata)")
@@ -620,7 +617,7 @@ def main(argv=None):
         cfg = load_config(args.config)
         workers = scipy.fft.get_workers() if args.threads is None else args.threads
         with scipy.fft.set_workers(workers), \
-                _blas_threads(args.threads) as args.blas_threads:
+                _blas_threads() as args.blas_threads:
             start = time.perf_counter()
             report = handler(args, cfg)
             _write_report(args, 1000.0 * (time.perf_counter() - start), report)

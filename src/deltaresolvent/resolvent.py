@@ -34,7 +34,7 @@ from . import system as sysmod
 from .blocks import (CHANNEL_TOL, MAX_TERMS, ChannelSystem, LambdaMatrix,
                      channel_norm, invert_lambda, pair_class_multiplier)
 from .bump import TraceMap, build_hamiltonian
-from .errors import ConfigError, NoConvergence
+from .errors import NoConvergence
 
 
 class DirectAssembly:
@@ -102,42 +102,6 @@ class TraceAssembly(ChannelSystem):
         return solution
 
 
-_MODE_ALIASES = {
-    "direct": "direct",
-    "direct-grid": "direct",
-    "kk": "kk",
-    "konno-kuroda": "kk",
-    "limit": "limit",
-    "theta": "theta",
-    "theta-limit": "theta",
-}
-
-
-def assemble(grid, spec, z, mode, eps=None, force=False):
-    """Build one resolvent assembly by mode name.
-
-    ``direct`` and ``kk`` need a positive width; ``limit`` and ``theta``
-    reject one.  ``force`` disables the channel-inversion threshold
-    gate (unsupported territory; the direct mode never needs it).
-    """
-    try:
-        key = _MODE_ALIASES[mode]
-    except KeyError:
-        raise ConfigError("unknown assembly mode %r (expected one of %s)"
-                          % (mode, ", ".join(sorted(_MODE_ALIASES))))
-    if key in ("direct", "kk"):
-        if eps is None:
-            raise ConfigError("mode %r requires a positive width" % mode)
-        if key == "direct":
-            return DirectAssembly(grid, spec, z, eps)
-        return LambdaMatrix(grid, spec, z, eps, force=force)
-    if eps is not None:
-        raise ConfigError("mode %r does not take a width" % mode)
-    if key == "limit":
-        return LambdaMatrix(grid, spec, z, None, force=force)
-    return TraceAssembly(grid, spec, z, force=force)
-
-
 # ---------------------------------------------------------------------------
 # Width sweep: operator-norm distance between regularized and limit routes
 # ---------------------------------------------------------------------------
@@ -178,7 +142,7 @@ def convergence_sweep(spec, z_values, eps_values, grids, rng=None, force=False):
     Hermitian difference, with its Ritz residual as the error bar
     (``spread``), for each width in ``eps_values``, then fits the decay
     order in eps.  ``force`` unlocks z at or above the threshold, as in
-    :func:`assemble`.  Returns a SweepReport whose ``orders`` dict maps
+    :class:`blocks.LambdaMatrix`.  Returns a SweepReport whose ``orders`` dict maps
     (level, z) to the fitted log-log slope (NaN for a single width).
     """
     z_values = [float(z) for z in z_values]

@@ -78,7 +78,7 @@ def test_acceptance_03_width_convergence_order():
     for spec, grid, seed in ((SPEC2, Grid(64, 12.8, 2), 3),
                              (SPEC3, Grid(32, 4.0, 3), 4)):
         # A second BLAS thread only spins on these small matrices.
-        with _blas_threads(1):
+        with _blas_threads():
             report = convergence_sweep(spec, [-20.0], widths, [grid],
                                        rng=np.random.default_rng(seed))
         dists = report.distances(0, -20.0)

@@ -302,16 +302,6 @@ def test_blas_threads_are_capped_read_back_and_restored(tmp_path):
     assert [get() for get, _ in controls] == before
 
 
-_CSV_COMMANDS = pytest.mark.parametrize("command, tables", [
-    ("kernels", ("kernels.csv",)),
-    ("forms", ("forms.csv",)),
-    ("bounds", ("bounds.csv", "blocks.csv")),
-    ("kk-check", ("kk-check.csv",)),
-    ("spectrum", ("spectrum.csv",)),
-    ("converge", ("converge.csv",)),
-], ids=["kernels", "forms", "bounds", "kk-check", "spectrum", "converge"])
-
-
 def _thread_config(tmp_path):
     return write_config(tmp_path, "\n".join([
         "[grid]", "npoints = 64", "box = 4.0",
@@ -321,29 +311,53 @@ def _thread_config(tmp_path):
     ]))
 
 
+def _three_particle_config(tmp_path):
+    """One n = 3 width: its spread's last digits followed a multi-threaded
+    BLAS, which the n = 2 config above never showed."""
+    return write_config(tmp_path, "\n".join([
+        "[system]", "masses = 1, 1, 1",
+        "[grid]", "npoints = 32", "box = 4.0",
+        "[converge]", "eps = 0.2", "",
+    ]))
+
+
+_CSV_COMMANDS = pytest.mark.parametrize("command, tables, config", [
+    ("kernels", ("kernels.csv",), _thread_config),
+    ("forms", ("forms.csv",), _thread_config),
+    ("bounds", ("bounds.csv", "blocks.csv"), _thread_config),
+    ("kk-check", ("kk-check.csv",), _thread_config),
+    ("spectrum", ("spectrum.csv",), _thread_config),
+    ("converge", ("converge.csv",), _thread_config),
+    ("converge", ("converge.csv",), _three_particle_config),
+], ids=["kernels", "forms", "bounds", "kk-check", "spectrum", "converge",
+        "converge-n3"])
+
+
 @_CSV_COMMANDS
-def test_thread_count_leaves_csv_bodies_unchanged(tmp_path, command, tables):
-    """blocks.csv holds a LAPACK eigenvalue, and kk-check.csv and spectrum.csv
-    rest on dense sector inverses, whose last digits follow the BLAS thread count; the
-    commands compute those at one thread whatever --threads says."""
-    cfg = _thread_config(tmp_path)
+def test_thread_count_leaves_csv_bodies_unchanged(tmp_path, command, tables,
+                                                 config):
+    """--threads sets the FFT workers only: BLAS runs at one thread in every
+    command, since the last digits of LAPACK and GEMM results (blocks.csv's
+    eigenvalue, the dense sector inverses behind kk-check.csv and spectrum.csv,
+    the ARPACK sweep behind converge.csv) follow the BLAS thread count."""
+    cfg = config(tmp_path)
     one, two = tmp_path / "one", tmp_path / "two"
     for threads, out in (("1", one), ("2", two)):
         assert run(command, "--config", cfg, "--threads", threads,
                    "--out", str(out)) == 0
     meta = read_json(two / (command + ".json"))
     assert meta["threads"] == 2
-    assert meta["blas_threads"] in (2, None)
+    assert meta["blas_threads"] in (1, None)
     for table in tables:
         assert (one / table).read_bytes() == (two / table).read_bytes()
 
 
 @_CSV_COMMANDS
 def test_blas_thread_environment_leaves_csv_bodies_unchanged(tmp_path, command,
-                                                             tables):
+                                                             tables, config):
     """The default path: no --threads, and the BLAS thread count set by
     OPENBLAS_NUM_THREADS, which OpenBLAS reads once at load, so each count
-    runs in a process of its own."""
+    runs in a process of its own; the CLI sets it to one either way."""
     import os
     import subprocess
     import sys
@@ -351,7 +365,7 @@ def test_blas_thread_environment_leaves_csv_bodies_unchanged(tmp_path, command,
 
     import deltaresolvent
 
-    cfg = _thread_config(tmp_path)
+    cfg = config(tmp_path)
     path = [str(Path(deltaresolvent.__file__).resolve().parents[1]),
             os.environ.get("PYTHONPATH", "")]
     for threads in ("1", "2"):
@@ -360,7 +374,7 @@ def test_blas_thread_environment_leaves_csv_bodies_unchanged(tmp_path, command,
         subprocess.run([sys.executable, "-m", "deltaresolvent.cli", command,
                         "--config", cfg, "--out", str(tmp_path / threads)],
                        env=env, check=True, capture_output=True)
-    assert read_json(tmp_path / "2" / (command + ".json"))["blas_threads"] in (2, None)
+    assert read_json(tmp_path / "2" / (command + ".json"))["blas_threads"] in (1, None)
     for table in tables:
         assert ((tmp_path / "1" / table).read_bytes()
                 == (tmp_path / "2" / table).read_bytes())

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from deltaresolvent.errors import AboveThreshold, ConfigError, NoConvergence
+from deltaresolvent.errors import AboveThreshold, NoConvergence
 from deltaresolvent.grid import (Grid, HamiltonianEps, hermitian_norm,
                                  lowest_eigenvalues, random_band_limited)
 from deltaresolvent.resolvent import (DirectAssembly, FactoredAssembly,
-                                      TraceAssembly, assemble,
-                                      convergence_sweep, ground_energy,
-                                      pole_scan)
+                                      TraceAssembly, convergence_sweep,
+                                      ground_energy, pole_scan)
 from deltaresolvent.system import SystemSpec
 
 SPEC2 = SystemSpec(masses=(1.0, 1.0), g=1.0)
@@ -26,32 +25,6 @@ def probes(grid, rng, count=3):
 
 def rel_dev(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
-
-
-def test_assemble_mode_table():
-    asm = assemble(GRID_SMALL, SPEC2, -16.0, "direct-grid", eps=0.25)
-    assert isinstance(asm, DirectAssembly)
-    assert isinstance(assemble(GRID_SMALL, SPEC2, -16.0, "direct", eps=0.25),
-                      DirectAssembly)
-    kk = assemble(GRID_SMALL, SPEC2, -16.0, "konno-kuroda", eps=0.25)
-    assert isinstance(kk, FactoredAssembly) and kk.mode == "kk"
-    lim = assemble(GRID_WIDE, SPEC2, -16.0, "limit")
-    assert isinstance(lim, FactoredAssembly) and lim.mode == "limit"
-    assert isinstance(assemble(GRID_WIDE, SPEC2, -16.0, "theta-limit"),
-                      TraceAssembly)
-    assert isinstance(assemble(GRID_WIDE, SPEC2, -16.0, "theta"),
-                      TraceAssembly)
-
-
-def test_assemble_rejects_bad_requests():
-    with pytest.raises(ConfigError):
-        assemble(GRID_SMALL, SPEC2, -16.0, "magic")
-    with pytest.raises(ConfigError):
-        assemble(GRID_SMALL, SPEC2, -16.0, "konno-kuroda")  # needs eps
-    with pytest.raises(ConfigError):
-        assemble(GRID_WIDE, SPEC2, -16.0, "limit", eps=0.25)
-    with pytest.raises(ConfigError):
-        assemble(GRID_WIDE, SPEC2, -16.0, "theta-limit", eps=0.25)
 
 
 def test_factored_matches_direct_solve():
@@ -129,6 +102,10 @@ def test_zero_coupling_reduces_to_free_resolvent():
         assert rel_dev(asm.apply(psi), expect) < 1e-13
 
 
+ROUTES = {"direct": DirectAssembly, "konno-kuroda": FactoredAssembly,
+          "limit": FactoredAssembly, "theta-limit": TraceAssembly}
+
+
 @pytest.mark.parametrize("mode,grid,kwargs", [
     ("direct", GRID_SMALL, {"eps": 0.25}),
     ("konno-kuroda", GRID_SMALL, {"eps": 0.25}),
@@ -138,8 +115,8 @@ def test_zero_coupling_reduces_to_free_resolvent():
 def test_first_resolvent_identity(mode, grid, kwargs):
     """R(z1) - R(z2) = (z1 - z2) R(z1) R(z2) on every route."""
     z1, z2 = -16.0, -25.0
-    a1 = assemble(grid, SPEC2, z1, mode, **kwargs)
-    a2 = assemble(grid, SPEC2, z2, mode, **kwargs)
+    a1 = ROUTES[mode](grid, SPEC2, z1, **kwargs)
+    a2 = ROUTES[mode](grid, SPEC2, z2, **kwargs)
     rng = np.random.default_rng(6)
     psi = next(probes(grid, rng, 1))
     lhs = a1.apply(psi) - a2.apply(psi)
@@ -208,8 +185,8 @@ def test_threshold_gate_and_force():
         TraceAssembly(GRID_WIDE, SPEC2, -2.0).apply(psi)
     # forcing past the gate still solves the (perfectly regular) system:
     # for one pair the channel inverse is exact, so both routes agree
-    forced = assemble(GRID_WIDE, SPEC2, -2.0, "limit", force=True)
-    cross = assemble(GRID_WIDE, SPEC2, -2.0, "theta", force=True)
+    forced = FactoredAssembly(GRID_WIDE, SPEC2, -2.0, force=True)
+    cross = TraceAssembly(GRID_WIDE, SPEC2, -2.0, force=True)
     assert rel_dev(forced.apply(psi), cross.apply(psi)) < 5e-10
 
 
