@@ -85,12 +85,9 @@ def pair_class_multiplier(grid, spec, pair, z):
     z = float(z)
     if z >= 0:
         raise ValueError("multiplier requires a real negative spectral parameter")
-    N = grid.npoints
-    mi = spec.masses[pair.i - 1]
-    mj = spec.masses[pair.j - 1]
-    k = np.arange(N)
-    wrap = (k[None, :] - k[:, None]) % N          # [relative k, class K]
-    core = (grid.p ** 2 / (2.0 * mi))[:, None] + grid.p[wrap] ** 2 / (2.0 * mj)
+    members = (spec.masses[pair.i - 1], spec.masses[pair.j - 1])
+    classes = gridmod.class_gather(gridmod.kinetic_multiplier(grid, members))  # [K, k]
+    core = np.ascontiguousarray(classes.T)  # C order fixes the axis-0 sum order
     spectators = [spec.masses[k - 1] for k in sysmod.spectator_indices(spec, pair)]
     spect = gridmod.kinetic_multiplier(grid, spectators)[None]  # over (K, spect)
     extra = (1,) * (spec.n - 2)

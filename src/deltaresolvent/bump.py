@@ -111,9 +111,7 @@ def build_hamiltonian(grid, spec, eps):
             "scaled support %g spans fewer than 8 grid cells (h = %g)"
             % (2.0 * eps * DEFAULT_PROFILE.support_radius, grid.h)
         )
-    v2 = sampled_pair_potential(grid, eps)
-    pairs = sysmod.enumerate_pairs(spec)
-    return gridmod.HamiltonianEps(grid, spec, eps, [(p, v2) for p in pairs])
+    return gridmod.HamiltonianEps(grid, spec, eps, sampled_pair_potential(grid, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +179,9 @@ class ChainCouplingMap(_SupportRows):
         self.eps = float(eps)
         samples = renormalized_samples(grid)
         # Offset by -x[0] so plain FFT coefficients (no centre phase) can be used;
-        # the Nyquist wave is the cosine, as in the pair frame.
+        # the waves split the Nyquist wavenumber, as in the pair frame.
         pts = self.eps * grid.x[samples > 0.0] - grid.x[0]
-        waves = np.exp(1j * np.outer(pts, grid.p))
-        waves[:, grid.npoints // 2] = np.cos(np.pi * pts / grid.h)
-        squeeze = scipy.fft.fft(waves, axis=1)   # [m, a]
+        squeeze = scipy.fft.fft(gridmod._nyquist_waves(grid, 1, pts), axis=1)  # [m, a]
         rows = gridmod.pair_frame_rows(grid, *sysmod.frame_weights(spec, pair), squeeze)
         super().__init__(grid, spec, pair, samples, rows)
 

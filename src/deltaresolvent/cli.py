@@ -30,6 +30,7 @@ import csv
 import ctypes
 import glob
 import json
+import math
 import os
 import sys
 import time
@@ -62,10 +63,25 @@ _KK_THRESHOLD = 1e-6
 # ---------------------------------------------------------------------------
 
 
+def _number(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite, got %s" % text.strip())
+    return value
+
+
 def _numbers(text):
-    values = [float(tok) for tok in text.replace(",", " ").split()]
+    values = [_number(tok) for tok in text.replace(",", " ").split()]
     if not values:
         raise ValueError("empty list")
+    return values
+
+
+def _widths(text):
+    """A width sweep, widest first: its reports read the list in order."""
+    values = _numbers(text)
+    if any(b >= a for a, b in zip(values, values[1:])):
+        raise ValueError("must strictly decrease, got %s" % text.strip())
     return values
 
 
@@ -84,8 +100,9 @@ _NEGATIVE = (lambda v: v < 0, "must be negative")
 # The grid defaults depend on the command, which passes its own.
 _OPTIONS = {
     "system": {
-        "masses": (sysmod.parse_masses, "1.0, 1.0", None),
-        "g": (float, "1.0", None),
+        "masses": (sysmod.parse_masses, "1.0, 1.0",
+                   (lambda m: 0 < m < math.inf, "must be positive and finite")),
+        "g": (_number, "1.0", None),
     },
     "grid": {
         "npoints": (_integers, None,
@@ -95,24 +112,24 @@ _OPTIONS = {
     },
     "converge": {
         "z": (_numbers, "-20.0", _NEGATIVE),
-        "eps": (_numbers, "0.4, 0.2, 0.1, 0.05", _POSITIVE),
+        "eps": (_widths, "0.4, 0.2, 0.1, 0.05", _POSITIVE),
     },
     "spectrum": {
-        "eps": (_numbers, "0.4, 0.2", _POSITIVE),
-        "shift": (float, "-2.0", _NEGATIVE),
+        "eps": (_widths, "0.4, 0.2", _POSITIVE),
+        "shift": (_number, "-2.0", _NEGATIVE),
         "steps": (int, "80", _POSITIVE),
     },
     "kk": {
-        "z": (float, "-16.0", _NEGATIVE),
-        "eps": (float, "0.25", _POSITIVE),
+        "z": (_number, "-16.0", _NEGATIVE),
+        "eps": (_number, "0.25", _POSITIVE),
         "probes": (int, "10", _POSITIVE),
     },
     "kernels": {
         "dims": (_integers, "1, 3, 4",
                  (lambda d: d in (1, 2, 3, 4), "must be 1, 2, 3 or 4")),
         "z": (_numbers, "-1.0", _NEGATIVE),
-        "x_min": (float, "0.1", _POSITIVE),
-        "x_max": (float, "2.0", _POSITIVE),
+        "x_min": (_number, "0.1", _POSITIVE),
+        "x_max": (_number, "2.0", _POSITIVE),
         "points": (int, "20", (lambda v: v >= 2, "must be at least 2")),
     },
     "forms": {
@@ -135,7 +152,7 @@ def _option(cfg, section, key, default=None):
         raise ConfigError("%s %s: %s" % (section, key, exc))
     if check is not None:
         ok, need = check
-        for v in value if isinstance(value, list) else [value]:
+        for v in value if isinstance(value, (list, tuple)) else [value]:
             if not ok(v):
                 raise ConfigError("%s %s: %s, got %s" % (section, key, need, _fmt(v)))
     return value

@@ -33,27 +33,19 @@ def apply_trace(grid, spec, pair, field):
     return f[idx, idx]
 
 
-def diagonal_scatter(grid, spec, pair, reduced):
-    """Adjoint of the diagonal gather: place a reduced field on f[k, k, ...].
-
-    Zero off the pair's collision hyperplane; no grid weight.
-    """
-    N = grid.npoints
-    embedded = np.zeros((N,) + reduced.shape, dtype=complex)
-    idx = np.arange(N)
-    embedded[idx, idx] = reduced
-    return gridmod.lab_axes_from_front(embedded, pair)
-
-
 def trace_adjoint(grid, spec, pair, reduced):
     """Adjoint of :func:`apply_trace` between the weighted inner products.
 
     Maps a reduced field back to a (distributional) lab field so that
     <trace_adjoint u, psi>_lab = <u, apply_trace psi>_reduced exactly on
-    the grid: the diagonal scatter divided by the grid spacing.
+    the grid: the diagonal scatter onto f[k, k, ...], zero off the pair's
+    collision hyperplane, divided by the grid spacing.
     """
     reduced = np.asarray(reduced, dtype=complex)
-    return diagonal_scatter(grid, spec, pair, reduced / grid.h)
+    idx = np.arange(grid.npoints)
+    embedded = np.zeros(idx.shape + reduced.shape, dtype=complex)
+    embedded[idx, idx] = reduced / grid.h
+    return gridmod.lab_axes_from_front(embedded, pair)
 
 
 def momentum_trace(grid, field):

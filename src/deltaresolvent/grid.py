@@ -7,12 +7,15 @@ arrays; every map here tolerates extra trailing axes so batches of fields
 can be pushed through in one call.
 """
 
+import functools
+
 import numpy as np
 import scipy.fft
 import scipy.linalg
 import scipy.sparse.linalg
 
 from .errors import NoConvergence, ShiftTooCloseToSpectrum
+from .system import enumerate_pairs
 
 # Upper limit on total grid points for dense-matrix code paths.
 DENSE_LIMIT = 4096
@@ -35,8 +38,8 @@ class Grid:
         npoints = int(npoints)
         if npoints < 2 or npoints & (npoints - 1):
             raise ValueError("npoints must be a power of two >= 2, got %d" % npoints)
-        if box <= 0:
-            raise ValueError("box length must be positive")
+        if not 0 < box < np.inf:
+            raise ValueError("box length must be positive and finite")
         self.npoints = npoints
         self.box = float(box)
         self.ndim = int(ndim)
@@ -56,13 +59,6 @@ class Grid:
     def weight(self):
         """Cell volume, i.e. the quadrature weight of one grid point."""
         return self.h ** self.ndim
-
-    def norm(self, field):
-        return float(np.sqrt(self.weight) * np.linalg.norm(field))
-
-    def inner(self, a, b):
-        """L2 inner product (conjugate-linear in the first slot)."""
-        return self.weight * complex(np.vdot(a, b))
 
     def __repr__(self):
         return "Grid(npoints=%d, box=%g, ndim=%d)" % (self.npoints, self.box, self.ndim)
@@ -130,22 +126,14 @@ def to_momentum(grid, field, axes=None):
     return out
 
 
-def random_band_limited(grid, rng, batch=()):
+def random_band_limited(grid, rng):
     """Random smooth field: Gaussian momentum data under a soft spectral cutoff
-    at a third of the largest wavenumber."""
-    ndim = grid.ndim
-    shape = (grid.npoints,) * ndim + tuple(batch)
-    coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    pmax = np.max(np.abs(grid.p))
-    damp = np.ones(())
-    for ax in range(ndim):
-        sh = [1] * len(shape)
-        sh[ax] = grid.npoints
-        window = np.exp(-((np.abs(grid.p) / ((1.0 / 3.0) * pmax)) ** 8))
-        damp = damp * window.reshape(sh)
-    field = scipy.fft.ifftn(coef * damp, axes=tuple(range(ndim)))
-    flat = field.reshape((-1,) + tuple(batch))
-    nrm = np.sqrt(np.sum(np.abs(flat) ** 2, axis=0)) * np.sqrt(grid.h ** ndim)
+    at a third of the largest wavenumber, normalized in L2."""
+    coef = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    window = np.exp(-((np.abs(grid.p) / ((1.0 / 3.0) * np.max(np.abs(grid.p)))) ** 8))
+    damp = functools.reduce(np.multiply.outer, [window] * grid.ndim)
+    field = scipy.fft.ifftn(coef * damp)
+    nrm = np.sqrt(np.sum(np.abs(field.reshape(-1)) ** 2)) * np.sqrt(grid.weight)
     return field / nrm
 
 
@@ -176,42 +164,28 @@ def class_scatter(classes):
     return classes[(k[:, None] + k) % k.size, k[:, None]]
 
 
-def _pair_frame_waves(grid, alpha, beta):
-    """The member waves V[a, k1] = exp(i alpha p_k1 x_a) and
-    W[a, k2] = exp(-i beta p_k2 x_a) of the pair-frame change.
-
-    The unpaired Nyquist wavenumber -pi/h is split evenly between +-pi/h,
-    its wave a cosine, so that a real field stays real.
-    """
-    N = grid.npoints
-    V = np.exp(1j * alpha * np.outer(grid.x, grid.p))
-    W = np.exp(-1j * beta * np.outer(grid.x, grid.p))
-    V[:, N // 2] = np.cos(alpha * np.pi * grid.x / grid.h)
-    W[:, N // 2] = np.cos(beta * np.pi * grid.x / grid.h)
-    return V, W
-
-
-def pair_frame_mixer(grid, alpha, beta):
-    """The pair-frame change on each class K, an (N x N) matrix per class.
-
-    mixer[K, a, k1] = V[a, k1] W[a, (K - k1) mod N] / N with the waves of
-    :func:`_pair_frame_waves`, i.e. exp(i (alpha p_k1 - beta p_(K - k1)) x_a) / N.
-    """
-    N = grid.npoints
-    V, W = _pair_frame_waves(grid, alpha, beta)
-    K = np.arange(N)
-    return V[None, :, :] * W[:, (K[:, None] - K) % N].transpose(1, 0, 2) / N
+def _nyquist_waves(grid, scale, points):
+    """waves[a, k] = exp(i scale p_k points_a), the trigonometric interpolant's
+    waves at ``scale`` times each point, with the unpaired Nyquist wavenumber
+    -pi/h split evenly between +-pi/h (a cosine) so a real field stays real."""
+    waves = np.exp(1j * scale * np.outer(points, grid.p))
+    waves[:, grid.npoints // 2] = np.cos(scale * np.pi * points / grid.h)
+    return waves
 
 
 def pair_frame_rows(grid, alpha, beta, rows):
-    """rows @ pair_frame_mixer(grid, alpha, beta)[K] for every class K, [K, m, k1].
+    """The pair-frame change's per-class mixer times ``rows`` (m x N) from the
+    left: rows @ mixer[K] for every class K, a [K, m, k1] array.
 
-    Builds the mixer one class at a time, so it needs m N^2 memory where
-    the whole mixer takes N^3, and each product stays a small matrix
-    product.
+    mixer[K, a, k1] = V[a, k1] W[a, (K - k1) mod N] / N with the member
+    waves V = exp(i alpha p x_a) and W = exp(-i beta p x_a) of
+    :func:`_nyquist_waves`.  Built one class at a time, so it needs m N^2
+    memory where the whole mixer (``rows`` the identity) takes N^3, and
+    each product stays a small matrix product.
     """
     N = grid.npoints
-    V, W = _pair_frame_waves(grid, alpha, beta)
+    V = _nyquist_waves(grid, alpha, grid.x)
+    W = _nyquist_waves(grid, -beta, grid.x)
     k = np.arange(N)
     return np.stack([rows @ (V * W[:, (K - k) % N] / N) for K in range(N)])
 
@@ -229,7 +203,7 @@ def pair_frame_forward(grid, coeffs, alpha, beta):
     """
     N = grid.npoints
     rest = coeffs.shape[2:]
-    mixer = pair_frame_mixer(grid, alpha, beta)
+    mixer = pair_frame_rows(grid, alpha, beta, np.eye(N))
     out = np.matmul(mixer, class_gather(coeffs).reshape(N, N, -1))  # [K, a, rest]
     return out.transpose(1, 0, 2).reshape((N, N) + rest)
 
@@ -239,7 +213,7 @@ def pair_frame_adjoint(grid, field, alpha, beta):
     of :func:`pair_frame_forward`, the reference of the chain maps' adjoint."""
     N = grid.npoints
     rest = field.shape[2:]
-    adjoint = N * pair_frame_mixer(grid, alpha, beta).conj().transpose(0, 2, 1)
+    adjoint = N * pair_frame_rows(grid, alpha, beta, np.eye(N)).conj().transpose(0, 2, 1)
     mixed = np.matmul(adjoint, field.reshape(N, N, -1).transpose(1, 0, 2))  # [K, k1]
     return class_scatter(mixed).reshape((N, N) + rest)
 
@@ -261,23 +235,21 @@ def lab_axes_from_front(field, pair):
 class HamiltonianEps:
     """Grid realization of H0 - g * sum_pairs V_eps(x_i - x_j).
 
-    The pair potentials are sampled at the wrapped (minimum-image)
-    separation so the operator stays symmetric on the periodic box.
+    ``pair_potential`` is V_eps over (x_i, x_j) indices, the same for every
+    pair, sampled at the wrapped (minimum-image) separation so the operator
+    stays symmetric on the periodic box.
     """
 
-    def __init__(self, grid, spec, eps, pair_samples):
+    def __init__(self, grid, spec, eps, pair_potential):
         self.grid = grid
         self.spec = spec
         self.eps = float(eps)
-        # pair_samples: list of (pair, 2-d array over (x_i, x_j) indices)
         self._kin = kinetic_multiplier(grid, spec.masses)
         pot = np.zeros(grid.shape)
-        n = spec.n
-        for pair, v2 in pair_samples:
-            shape = [1] * n
-            shape[pair.i - 1] = grid.npoints
-            shape[pair.j - 1] = grid.npoints
-            pot = pot + v2.reshape(shape)
+        for pair in enumerate_pairs(spec):
+            shape = [1] * spec.n
+            shape[pair.i - 1] = shape[pair.j - 1] = grid.npoints
+            pot = pot + pair_potential.reshape(shape)
         self.potential = pot
 
     def apply(self, field):

@@ -7,7 +7,7 @@ from deltaresolvent.bump import (BumpProfile, ChainCouplingMap, DEFAULT_PROFILE,
                                  renormalized_samples, resolution_ok,
                                  sampled_pair_potential)
 from deltaresolvent.errors import PotentialOverflowsBox, UnresolvedBump
-from deltaresolvent.forms import apply_trace, diagonal_scatter, trace_adjoint
+from deltaresolvent.forms import apply_trace, trace_adjoint
 from deltaresolvent.grid import (Grid, lab_axes_from_front, lab_axes_to_front,
                                  minimum_image_separation, pair_frame_adjoint,
                                  pair_frame_forward, random_band_limited)
@@ -142,7 +142,9 @@ def _full_rows_adjoint(cmap, chi):
     if isinstance(cmap, LimitCouplingMap):
         window = renormalized_samples(grid)
         w = window.reshape((-1,) + (1,) * (chi.ndim - 1))
-        return diagonal_scatter(grid, spec, pair, np.sum(w * chi, axis=0))
+        embedded = np.zeros((N,) + chi.shape[1:], dtype=complex)
+        embedded[np.arange(N), np.arange(N)] = np.sum(w * chi, axis=0)
+        return lab_axes_from_front(embedded, pair)
     if isinstance(cmap, ShearCouplingMap):
         root = np.sqrt(DEFAULT_PROFILE.scaled_potential(
             minimum_image_separation(grid)[:, 0], cmap.eps))
@@ -292,9 +294,9 @@ def test_hamiltonian_potential_term_signs():
     xi = grid.x[:, None]
     xj = grid.x[None, :]
     f = np.exp(-xi ** 2 - xj ** 2)
-    f = f / grid.norm(f)
-    e_att = grid.inner(f, build_hamiltonian(grid, spec_att, 0.8).apply(f)).real
-    e_rep = grid.inner(f, build_hamiltonian(grid, spec_rep, 0.8).apply(f)).real
+    f = f / (np.sqrt(grid.weight) * np.linalg.norm(f))
+    e_att = grid.weight * np.vdot(f, build_hamiltonian(grid, spec_att, 0.8).apply(f)).real
+    e_rep = grid.weight * np.vdot(f, build_hamiltonian(grid, spec_rep, 0.8).apply(f)).real
     assert e_att < e_rep
 
 

@@ -395,6 +395,15 @@ def test_blas_thread_environment_leaves_csv_bodies_unchanged(tmp_path, command,
     ("kernels", "kernels", "point", "3"),
     ("forms", "form", "count", "5"),
     ("kernels", "DEFAULT", "masses", "1.0, 2.0"),
+    ("forms", "grid", "box", "inf"),  # non-finite values
+    ("kernels", "kernels", "x_max", "inf"),
+    ("converge", "converge", "z", "-inf"),
+    ("kk-check", "kk", "eps", "nan"),
+    ("forms", "system", "g", "inf"),
+    ("forms", "system", "masses", "1.0, nan"),
+    ("spectrum", "spectrum", "eps", "0.8, 0.8"),  # width lists must decrease
+    ("converge", "converge", "eps", "0.4, 0.4"),
+    ("converge", "converge", "eps", "0.1, 0.2, 0.4"),
 ])
 def test_bad_value_is_a_config_error_naming_its_key(tmp_path, capsys, command,
                                                     section, key, value):
