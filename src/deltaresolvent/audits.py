@@ -50,8 +50,7 @@ def _finish(name, inputs, claimed, measured, mc_ci=0.0, detail=None):
 
 def schur_row_closed_3d(z, d):
     """Closed form of the reduced 3-d row integral at hyperplane offset d."""
-    kappa = math.sqrt(2.0 * abs(z))
-    return math.exp(-kappa * d / 2.0) / (2.0 * kappa)
+    return greens.greens_closed(1, 2.0 * z, d / 2.0)
 
 
 def audit_schur_3d(z):

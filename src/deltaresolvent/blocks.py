@@ -71,11 +71,10 @@ def pair_class_multiplier(grid, spec, pair, z):
     """Exact grid multiplier of tau R0 tau* on the reduced lattice.
 
     For each total-pair-momentum class K the relative degree of freedom
-    is summed out over the wrapped index pairs (k, (K - k) mod N):
+    is summed out of the free symbol E (grid.kinetic_multiplier) over the
+    wrapped index pairs (k, (K - k) mod N) of the pair's members:
 
-        D[K, spect] = (1/L) sum_k 1 / (p_k^2/2m_i
-                                       + p_{(K-k) mod N}^2/2m_j
-                                       + spectator kinetic - z).
+        D[K, spect] = (1/L) sum_k 1 / (E(k, (K - k) mod N, spect) - z).
 
     This is an identity on the grid, not an approximation: applying the
     hyperplane restriction, the free resolvent, and the restriction
@@ -85,14 +84,10 @@ def pair_class_multiplier(grid, spec, pair, z):
     z = float(z)
     if z >= 0:
         raise ValueError("multiplier requires a real negative spectral parameter")
-    members = (spec.masses[pair.i - 1], spec.masses[pair.j - 1])
-    classes = gridmod.class_gather(gridmod.kinetic_multiplier(grid, members))  # [K, k]
-    core = np.ascontiguousarray(classes.T)  # C order fixes the axis-0 sum order
-    spectators = [spec.masses[k - 1] for k in sysmod.spectator_indices(spec, pair)]
-    spect = gridmod.kinetic_multiplier(grid, spectators)[None]  # over (K, spect)
-    extra = (1,) * (spec.n - 2)
-    denom = core.reshape(core.shape + extra) + (spect - z)[None]
-    return np.sum(1.0 / denom, axis=0) / grid.box
+    symbol = 1.0 / (gridmod.kinetic_multiplier(grid, spec.masses) - z)
+    classes = gridmod.class_gather(gridmod.lab_axes_to_front(symbol, pair))  # [K, k, ...]
+    # a C-ordered [k, K, ...] copy fixes the axis-0 sum order
+    return np.sum(np.ascontiguousarray(classes.swapaxes(0, 1)), axis=0) / grid.box
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +123,14 @@ class DiagonalBlock:
         self.v = DEFAULT_PROFILE.value(self.r)
 
     def kernel_matrix(self, q=0.0):
-        """Symmetric kernel matrix (quadrature weight included) at offset q."""
+        """Symmetric kernel matrix (quadrature weight included) at offset q:
+        2 mu times the 1-d free kernel at -2 mu (q - z) and eps |r - r'|."""
         if q < 0:
             raise ValueError("reduced kinetic offset must be non-negative")
-        gap = q - self.z
-        pref = self.spec.g * math.sqrt(self.pair.mu / 2.0) / math.sqrt(gap)
-        outer = np.outer(self.v, self.v)
-        if self.eps is not None:
-            decay = self.eps * math.sqrt(2.0 * self.pair.mu * gap)
-            outer = outer * np.exp(-decay * np.abs(self.r[:, None] - self.r[None, :]))
-        return pref * outer * self.grid.h
+        mu2 = 2.0 * self.pair.mu
+        sep = 0.0 if self.eps is None else self.eps * np.abs(self.r[:, None] - self.r)
+        kernel = mu2 * greensmod.greens_closed(1, -mu2 * (q - self.z), sep)
+        return self.spec.g * kernel * np.outer(self.v, self.v) * self.grid.h
 
     def fiber_eigenvalues(self):
         """Kernel eigenvalues, one row per kinetic offset of a 17-point lattice.

@@ -85,6 +85,14 @@ def _widths(text):
     return values
 
 
+def _distinct(text):
+    """A list of sweep points, each its own: a repeat would merge two sweeps."""
+    values = _numbers(text)
+    if len(set(values)) < len(values):
+        raise ValueError("repeats a value, got %s" % text.strip())
+    return values
+
+
 def _integers(text):
     values = _numbers(text)
     if not all(v.is_integer() for v in values):
@@ -111,7 +119,7 @@ _OPTIONS = {
         "box": (_numbers, None, _POSITIVE),
     },
     "converge": {
-        "z": (_numbers, "-20.0", _NEGATIVE),
+        "z": (_distinct, "-20.0", _NEGATIVE),
         "eps": (_widths, "0.4, 0.2, 0.1, 0.05", _POSITIVE),
     },
     "spectrum": {
@@ -193,6 +201,14 @@ def _grid_ladder(cfg, ndim, default_npoints, default_box):
         raise ConfigError("grid section: %d npoints entries vs %d box entries"
                           % (len(npoints), len(boxes)))
     return [gridmod.Grid(n, box, ndim) for n, box in zip(npoints, boxes)]
+
+
+def _one_grid(cfg, ndim, default_npoints, default_box):
+    """The grid of a command that runs on one; a ladder there is a config error."""
+    for key, default in (("npoints", default_npoints), ("box", default_box)):
+        if len(_option(cfg, "grid", key, default)) > 1:
+            raise ConfigError("grid %s: this command takes one value" % key)
+    return _grid_ladder(cfg, ndim, default_npoints, default_box)[0]
 
 
 def _check_below_threshold(z_values, spec, force, what):
@@ -447,7 +463,7 @@ def cmd_kernels(args, cfg):
 
 def cmd_kk_check(args, cfg):
     spec = _system_from(cfg)
-    grid = _grid_ladder(cfg, spec.n, "64", "4.0")[0]
+    grid = _one_grid(cfg, spec.n, "64", "4.0")
     z = _option(cfg, "kk", "z")
     eps = _option(cfg, "kk", "eps")
     probes = _option(cfg, "kk", "probes")
@@ -482,7 +498,7 @@ def cmd_kk_check(args, cfg):
 
 def cmd_forms(args, cfg):
     spec = _system_from(cfg)
-    grid = _grid_ladder(cfg, spec.n, "64", "12.8")[0]
+    grid = _one_grid(cfg, spec.n, "64", "12.8")
     count = _option(cfg, "forms", "count")
 
     rng = np.random.default_rng(args.seed)

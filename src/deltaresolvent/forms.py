@@ -97,45 +97,32 @@ def fourier_trace_identities(grid, field):
     }
 
 
-def gradient_norm_squared(grid, field, axis):
-    """Squared L2 norm of the spectral derivative along one axis."""
-    hat = scipy.fft.fft(field, axis=axis)
-    shape = [1] * field.ndim
-    shape[axis] = grid.npoints
-    hat = hat * (1j * grid.p.reshape(shape))
-    grad = scipy.fft.ifft(hat, axis=axis)
-    weight = grid.h ** field.ndim
-    return weight * float(np.sum(np.abs(grad) ** 2))
+def _parseval(grid, symbol, phi, psi):
+    """<phi, symbol(p) psi> on the lattice, summed over Fourier coefficients
+    for a symbol >= 0.  Its square root weights both sides, so swapping phi
+    and psi conjugates the value exactly."""
+    root = np.sqrt(symbol)
+    weight = (grid.h / grid.npoints) ** phi.ndim
+    return weight * complex(np.vdot(root * scipy.fft.fftn(phi), root * scipy.fft.fftn(psi)))
 
 
 def h1_norm_squared(grid, field):
-    """Squared Sobolev norm ||f||^2 + sum_j ||d_j f||^2 on the full lattice."""
-    weight = grid.h ** field.ndim
-    total = weight * float(np.sum(np.abs(field) ** 2))
-    for axis in range(field.ndim):
-        total += gradient_norm_squared(grid, field, axis)
-    return total
+    """Squared Sobolev norm ||f||^2 + sum_j ||d_j f||^2, by Parseval."""
+    return _parseval(grid, 1.0 + gridmod.kinetic_multiplier(grid, (0.5,) * field.ndim),
+                     field, field).real
 
 
 def evaluate_form(grid, spec, phi, psi):
     """The sesquilinear form t(phi, psi) of the contact system.
 
-    Kinetic part by spectral derivatives weighted with 1/(2 m_j); the
-    coupling part subtracts g times the reduced inner products of the
+    Kinetic part by Parseval with the free symbol (grid.kinetic_multiplier);
+    the coupling part subtracts g times the reduced inner products of the
     hyperplane traces over all pairs.
     """
     n = spec.n
     if phi.ndim != n or psi.ndim != n:
         raise ValueError("form arguments must be full lab fields")
-    weight = grid.h ** n
-    total = 0.0 + 0.0j
-    for axis, m in enumerate(spec.masses):
-        shape = [1] * n
-        shape[axis] = grid.npoints
-        mult = 1j * grid.p.reshape(shape)
-        dphi = scipy.fft.ifft(scipy.fft.fft(phi, axis=axis) * mult, axis=axis)
-        dpsi = scipy.fft.ifft(scipy.fft.fft(psi, axis=axis) * mult, axis=axis)
-        total += complex(np.vdot(dphi, dpsi)) * weight / (2.0 * m)
+    total = _parseval(grid, gridmod.kinetic_multiplier(grid, spec.masses), phi, psi)
     reduced_weight = grid.h ** (n - 1)
     for pair in sysmod.enumerate_pairs(spec):
         tp = apply_trace(grid, spec, pair, phi)

@@ -130,8 +130,10 @@ class SweepReport:
                 if e.level == level and e.z == z]
 
     def monotone(self, level, z):
-        d = self.distances(level, z)
-        return all(b < a for a, b in zip(d, d[1:]))
+        """Whether the distance shrinks with the width, read widest first."""
+        rows = sorted((e for e in self.entries if e.level == level and e.z == z),
+                      key=lambda e: -e.eps)
+        return all(b.distance < a.distance for a, b in zip(rows, rows[1:]))
 
 
 def convergence_sweep(spec, z_values, eps_values, grids, rng=None, force=False):

@@ -46,16 +46,17 @@ def test_class_multiplier_is_exact_grid_identity():
 
 def test_class_multiplier_exact_identity_three_particles():
     spec = SystemSpec(masses=(1.0, 2.0, 0.5), g=1.0)
-    pair = enumerate_pairs(spec)[1]  # (1,3)
     grid = Grid(16, 3.2, 3)
     rng = np.random.default_rng(1)
     f = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     rfree = free_resolvent(grid, spec.masses, -9.0)
-    lhs = apply_trace(grid, spec, pair,
-                      rfree(trace_adjoint(grid, spec, pair, f)))
-    mult = pair_class_multiplier(grid, spec, pair, -9.0)
-    rhs = np.fft.ifftn(mult * np.fft.fftn(f))
-    assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-13
+    # (1,3) keeps particle 1 in front; (2,3) moves both of its axes
+    for pair in enumerate_pairs(spec)[1:]:
+        lhs = apply_trace(grid, spec, pair,
+                          rfree(trace_adjoint(grid, spec, pair, f)))
+        mult = pair_class_multiplier(grid, spec, pair, -9.0)
+        rhs = np.fft.ifftn(mult * np.fft.fftn(f))
+        assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-13
 
 
 def test_class_multiplier_approaches_analytic_linearly_in_h():
@@ -103,6 +104,22 @@ def test_diagonal_block_kernel_symmetric_and_fiber_monotone():
     n0 = float(np.max(np.abs(np.linalg.eigvalsh(k0))))
     n4 = float(np.max(np.abs(np.linalg.eigvalsh(blk.kernel_matrix(4.0)))))
     assert n4 < n0
+
+
+@pytest.mark.parametrize("eps", [None, 0.2])
+def test_diagonal_block_kernel_closed_form(eps):
+    """g sqrt(mu/2) / sqrt(q - z) v v^T exp(-eps sqrt(2 mu (q - z)) |r - r'|) h."""
+    spec = SystemSpec(masses=(1.0, 2.0), g=1.0)
+    pair = enumerate_pairs(spec)[0]
+    grid = Grid(64, 2.56, 1)
+    blk = DiagonalBlock(grid, spec, pair, -4.0, eps)
+    for q in (0.0, 4.0):
+        gap = q + 4.0
+        decay = 0.0 if eps is None else eps * math.sqrt(2.0 * pair.mu * gap)
+        expected = (spec.g * math.sqrt(pair.mu / 2.0) / math.sqrt(gap)
+                    * np.outer(blk.v, blk.v)
+                    * np.exp(-decay * np.abs(blk.r[:, None] - blk.r[None, :])) * grid.h)
+        np.testing.assert_allclose(blk.kernel_matrix(q), expected, rtol=1e-14, atol=0.0)
 
 
 def test_limit_block_is_rank_one_times_profile():

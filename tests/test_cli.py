@@ -404,6 +404,9 @@ def test_blas_thread_environment_leaves_csv_bodies_unchanged(tmp_path, command,
     ("spectrum", "spectrum", "eps", "0.8, 0.8"),  # width lists must decrease
     ("converge", "converge", "eps", "0.4, 0.4"),
     ("converge", "converge", "eps", "0.1, 0.2, 0.4"),
+    ("converge", "converge", "z", "-20, -20"),  # a repeat merges two sweeps
+    ("forms", "grid", "npoints", "16, 32"),  # single-grid commands take no ladder
+    ("kk-check", "grid", "box", "4.0, 8.0"),
 ])
 def test_bad_value_is_a_config_error_naming_its_key(tmp_path, capsys, command,
                                                     section, key, value):
@@ -412,6 +415,28 @@ def test_bad_value_is_a_config_error_naming_its_key(tmp_path, capsys, command,
     assert run(command, "--config", cfg, "--out", str(out)) == 2
     assert "%s %s" % (section, key) in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_readme_config_block_matches_the_options_table():
+    """The README's Configuration block lists every key, with the table's
+    defaults outside [grid] (whose defaults depend on the command)."""
+    import configparser
+    from pathlib import Path
+
+    from deltaresolvent.cli import _OPTIONS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("### Configuration"):]
+    block = section[section.index("```ini\n") + 7:]
+    cfg = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    cfg.read_string(block[:block.index("```")])
+    assert {s: set(cfg[s]) for s in cfg.sections()} == {
+        s: set(keys) for s, keys in _OPTIONS.items()}
+    for section, keys in _OPTIONS.items():
+        if section == "grid":
+            continue
+        for key, (parse, default, _) in keys.items():
+            assert parse(cfg[section][key]) == parse(default), (section, key)
 
 
 def test_bad_grid_size_is_a_config_error(tmp_path, capsys):

@@ -3,8 +3,7 @@ import pytest
 
 from deltaresolvent.bump import LimitCouplingMap
 from deltaresolvent.forms import (apply_trace, evaluate_form,
-                                  fourier_trace_identities,
-                                  gradient_norm_squared, h1_norm_squared,
+                                  fourier_trace_identities, h1_norm_squared,
                                   momentum_trace, trace_adjoint)
 from deltaresolvent.grid import (Grid, lab_axes_from_front, lab_axes_to_front,
                                  pair_frame_adjoint, pair_frame_forward,
@@ -114,11 +113,31 @@ def test_gradient_norm_matches_plane_wave():
     grid = Grid(32, 6.4, 2)
     wave = np.exp(1j * grid.p[3] * grid.x)[:, None] * np.ones(32)[None, :]
     norm2 = grid.weight * float(np.sum(np.abs(wave) ** 2))
-    assert gradient_norm_squared(grid, wave, 0) == pytest.approx(
-        grid.p[3] ** 2 * norm2, rel=1e-12)
-    assert gradient_norm_squared(grid, wave, 1) == pytest.approx(0.0, abs=1e-20)
     assert h1_norm_squared(grid, wave) == pytest.approx(
         (1.0 + grid.p[3] ** 2) * norm2, rel=1e-12)
+
+
+def test_form_and_h1_norm_match_per_axis_derivatives():
+    """The Parseval sums equal the spectral-derivative definitions, Nyquist
+    column included: white noise puts weight on every wavenumber."""
+    grid = Grid(16, 3.2, 3)
+    rng = np.random.default_rng(8)
+    phi, psi = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+                for _ in range(2))
+
+    def derivative(field, axis):
+        shape = [1] * field.ndim
+        shape[axis] = grid.npoints
+        hat = np.fft.fft(field, axis=axis) * (1j * grid.p.reshape(shape))
+        return np.fft.ifft(hat, axis=axis)
+
+    spec_free = SystemSpec(masses=SPEC3.masses, g=0.0)
+    kinetic = sum(grid.weight * np.vdot(derivative(phi, a), derivative(psi, a)) / (2.0 * m)
+                  for a, m in enumerate(SPEC3.masses))
+    assert evaluate_form(grid, spec_free, phi, psi) == pytest.approx(kinetic, rel=1e-12)
+    h1 = grid.weight * (np.vdot(phi, phi).real + sum(
+        np.vdot(derivative(phi, a), derivative(phi, a)).real for a in range(3)))
+    assert h1_norm_squared(grid, phi) == pytest.approx(h1, rel=1e-12)
 
 
 def test_trace_bounded_by_sobolev_norm():

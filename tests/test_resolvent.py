@@ -206,6 +206,16 @@ def test_convergence_sweep_small_config():
         assert entry.wallclock_ms >= 0.0
 
 
+def test_convergence_sweep_monotone_reads_widest_first():
+    """Widths listed narrowest first: the verdict follows the width, not the list."""
+    report = convergence_sweep(
+        SPEC2, [-20.0], [0.2, 0.4, 0.8], [Grid(32, 6.4, 2)],
+        rng=np.random.default_rng(14))
+    dists = report.distances(0, -20.0)
+    assert dists[0] < dists[1] < dists[2]
+    assert report.monotone(0, -20.0)
+
+
 def test_pole_scan_brackets_bound_state():
     grid = Grid(128, 12.8, 2)
     pole = pole_scan(grid, SPEC2, (-0.6, -0.05))
