@@ -143,10 +143,6 @@ _OPTIONS = {
     "forms": {
         "count": (int, "25", _POSITIVE),
     },
-    "bounds": {
-        "samples": (int, "1000000", (lambda v: v >= 1000,
-                                     "must be at least 1000")),
-    },
 }
 
 
@@ -240,14 +236,15 @@ def _write_csv(path, header, rows):
 
 
 def _metadata(args, wallclock_ms):
+    force = bool(getattr(args, "force", False))
     return {
         "command": args.command,
         "version": __version__,
         "seed": args.seed,
         "threads": scipy.fft.get_workers(),
         "blas_threads": args.blas_threads,
-        "force": bool(args.force),
-        "supported": not bool(args.force),
+        "force": force,
+        "supported": not force,
         "profile": {
             "support_radius": DEFAULT_PROFILE.support_radius,
             "normalization": DEFAULT_PROFILE.normalization,
@@ -267,12 +264,6 @@ def _json_coerce(value):
     raise TypeError("not JSON serializable: %r" % (value,))
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_coerce)
-        fh.write("\n")
-
-
 @dataclass
 class Report:
     """A command's result: <command>.csv (``header``, ``rows``), the JSON
@@ -289,15 +280,19 @@ class Report:
 
 def _write_report(args, wallclock_ms, report):
     """Write <command>.csv, <command>.json and the report's extra tables."""
+    payload = _metadata(args, wallclock_ms)
+    payload.update(report.fields)
+    # a non-finite value raises ValueError here, before any file is written
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                      default=_json_coerce)
     out = args.out or os.environ.get("DELTARESOLVENT_OUT") or "reports"
     os.makedirs(out, exist_ok=True)
     _write_csv(os.path.join(out, args.command + ".csv"), report.header,
                report.rows)
     for name, header, rows in report.tables:
         _write_csv(os.path.join(out, name), header, rows)
-    payload = _metadata(args, wallclock_ms)
-    payload.update(report.fields)
-    _write_json(os.path.join(out, args.command + ".json"), payload)
+    with open(os.path.join(out, args.command + ".json"), "w") as fh:
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +323,9 @@ def cmd_converge(args, cfg):
             "mode_pair": ["konno-kuroda", "limit"],
             "channel_tol": blocksmod.CHANNEL_TOL,
             "entries": [asdict(e) for e in sweep.entries],
-            "orders": {"%d,%g" % k: v for k, v in sweep.orders.items()},
+            # one width fits no order: NaN there, written as null
+            "orders": {"%d,%g" % k: v if math.isfinite(v) else None
+                       for k, v in sweep.orders.items()},
             "monotone": monotone,
         }, ok, "converge: %d entries, monotone=%s" % (len(sweep.entries), ok))
 
@@ -412,12 +409,10 @@ def _default_block_rows():
 
 
 def cmd_bounds(args, cfg):
-    samples = _option(cfg, "bounds", "samples")
-
-    results = auditsmod.run_default_sweep(seed=args.seed, samples=samples)
+    results = auditsmod.run_default_sweep()
     block_rows = _default_block_rows()
     rows = [(r.name, json.dumps(r.inputs, sort_keys=True), r.claimed,
-             r.measured, r.mc_ci, "PASS" if r.passed else "FAIL")
+             r.measured, r.ci, "PASS" if r.passed else "FAIL")
             for r in results]
     failed = [r for r in results if not r.passed]
     lines = ["bounds: %d audits, %d failed" % (len(results), len(failed))]
@@ -425,7 +420,6 @@ def cmd_bounds(args, cfg):
               % (r.name, r.inputs, r.claimed, r.measured) for r in failed]
     return Report(
         ("name", "inputs", "claimed", "measured", "ci", "verdict"), rows, {
-            "samples": samples,
             "audits": len(results),
             "failed": [r.name for r in failed],
             "block_rows": len(block_rows),
@@ -626,13 +620,15 @@ def build_parser():
     common.add_argument("--threads", type=int, default=None, metavar="N",
                         help="FFT worker threads (scipy.fft; default 1); BLAS "
                              "always runs at one thread")
-    common.add_argument("--force", action="store_true",
-                        help="unlock z at or above the inversion threshold "
-                             "(unsupported; labeled in output metadata)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in sorted(_HANDLERS):
-        sub.add_parser(name, parents=[common],
-                       help="run the %s report" % name)
+        command = sub.add_parser(name, parents=[common],
+                                 help="run the %s report" % name)
+        if name in ("converge", "kk-check"):
+            command.add_argument(
+                "--force", action="store_true",
+                help="unlock z at or above the inversion threshold "
+                     "(unsupported; labeled in output metadata)")
     return parser
 
 

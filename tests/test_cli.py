@@ -19,9 +19,14 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def _reject_constant(name):
+    raise ValueError("report holds %s, which is not JSON" % name)
+
+
 def read_json(path):
+    """Parse a report strictly: NaN and Infinity are not JSON."""
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def write_config(tmp_path, text):
@@ -191,9 +196,8 @@ def test_spectrum_three_particles_binds_deeper(tmp_path):
 
 
 def test_bounds_report(tmp_path):
-    cfg = write_config(tmp_path, "[bounds]\nsamples = 100000\n")
     out = tmp_path / "reports"
-    assert run("bounds", "--config", cfg, "--out", str(out)) == 0
+    assert run("bounds", "--out", str(out)) == 0
     rows = read_csv(out / "bounds.csv")
     assert len(rows) == 60
     assert all(r["verdict"] == "PASS" for r in rows)
@@ -203,6 +207,14 @@ def test_bounds_report(tmp_path):
     meta = read_json(out / "bounds.json")
     assert meta["failed"] == []
     assert meta["audits"] == 60
+
+
+def test_bounds_report_does_not_follow_the_seed(tmp_path):
+    """Every audit is deterministic: no seed reaches bounds.csv."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run("bounds", "--seed", "0", "--out", str(a)) == 0
+    assert run("bounds", "--seed", "5", "--out", str(b)) == 0
+    assert (a / "bounds.csv").read_bytes() == (b / "bounds.csv").read_bytes()
 
 
 def test_forms_report(tmp_path):
@@ -265,6 +277,37 @@ def test_empty_width_list_is_a_config_error(tmp_path, capsys):
     assert "empty list" in capsys.readouterr().err
 
 
+def test_force_only_on_commands_it_unlocks(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run("kernels", "--force", "--out", str(tmp_path / "r"))
+    assert exc.value.code == 2
+    assert not (tmp_path / "r").exists()
+
+
+def test_single_width_converge_writes_strict_json(tmp_path):
+    cfg = write_config(tmp_path, "\n".join([
+        "[grid]", "npoints = 32", "box = 6.4",
+        "[converge]", "eps = 0.4", "",
+    ]))
+    out = tmp_path / "reports"
+    assert run("converge", "--config", cfg, "--out", str(out)) == 0
+    assert read_json(out / "converge.json")["orders"] == {"0,-20": None}
+
+
+def test_non_finite_report_value_is_an_internal_error(tmp_path, capsys,
+                                                      monkeypatch):
+    from deltaresolvent import cli
+
+    def nan_report(args, cfg):
+        return cli.Report(("x",), [(1.0,)], {"x": float("nan")}, True, "")
+
+    monkeypatch.setitem(cli._HANDLERS, "kernels", nan_report)
+    out = tmp_path / "r"
+    assert run("kernels", "--out", str(out)) == 1
+    assert "internal error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_argument_validation(tmp_path, capsys):
     out = str(tmp_path / "r")
     assert run("kernels", "--seed", "-1", "--out", out) == 2
@@ -306,8 +349,7 @@ def _thread_config(tmp_path):
     return write_config(tmp_path, "\n".join([
         "[grid]", "npoints = 64", "box = 4.0",
         "[kk]", "probes = 2",
-        "[spectrum]", "eps = 0.8, 0.4",
-        "[bounds]", "samples = 100000", "",
+        "[spectrum]", "eps = 0.8, 0.4", "",
     ]))
 
 
@@ -407,6 +449,7 @@ def test_blas_thread_environment_leaves_csv_bodies_unchanged(tmp_path, command,
     ("converge", "converge", "z", "-20, -20"),  # a repeat merges two sweeps
     ("forms", "grid", "npoints", "16, 32"),  # single-grid commands take no ladder
     ("kk-check", "grid", "box", "4.0, 8.0"),
+    ("bounds", "bounds", "samples", "1000000"),  # the audits draw no samples
 ])
 def test_bad_value_is_a_config_error_naming_its_key(tmp_path, capsys, command,
                                                     section, key, value):
