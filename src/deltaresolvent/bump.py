@@ -105,13 +105,18 @@ def resolution_ok(grid, eps):
 
 
 def build_hamiltonian(grid, spec, eps):
-    """Assemble the regularized generator with pointwise-sampled potentials."""
+    """Assemble the regularized generator with pointwise-sampled potentials;
+    eps=None gives the contact model, whose pair potential is the lattice
+    delta: 1/h at zero separation."""
+    if eps is None:
+        delta = (gridmod.minimum_image_separation(grid) == 0) / grid.h
+        return gridmod.HamiltonianEps(grid, spec, delta)
     if not resolution_ok(grid, eps):
         raise UnresolvedBump(
             "scaled support %g spans fewer than 8 grid cells (h = %g)"
             % (2.0 * eps * DEFAULT_PROFILE.support_radius, grid.h)
         )
-    return gridmod.HamiltonianEps(grid, spec, eps, sampled_pair_potential(grid, eps))
+    return gridmod.HamiltonianEps(grid, spec, sampled_pair_potential(grid, eps))
 
 
 # ---------------------------------------------------------------------------

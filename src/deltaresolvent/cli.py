@@ -125,7 +125,6 @@ _OPTIONS = {
     "spectrum": {
         "eps": (_widths, "0.4, 0.2", _POSITIVE),
         "shift": (_number, "-2.0", _NEGATIVE),
-        "steps": (int, "80", _POSITIVE),
     },
     "kk": {
         "z": (_number, "-16.0", _NEGATIVE),
@@ -240,7 +239,7 @@ def _metadata(args, wallclock_ms):
     return {
         "command": args.command,
         "version": __version__,
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),
         "threads": scipy.fft.get_workers(),
         "blas_threads": args.blas_threads,
         "force": force,
@@ -335,7 +334,6 @@ def cmd_spectrum(args, cfg):
     grids = _grid_ladder(cfg, spec.n, "512", "25.6")
     eps_values = _option(cfg, "spectrum", "eps")
     shift = _option(cfg, "spectrum", "shift")
-    steps = _option(cfg, "spectrum", "steps")
 
     rows = []
     table = {}
@@ -343,8 +341,7 @@ def cmd_spectrum(args, cfg):
         energies = []
         for eps in eps_values:
             e = resolventmod.ground_energy(
-                grid, spec, eps, shift=shift, steps=steps,
-                rng=np.random.default_rng(args.seed))
+                grid, spec, eps, shift=shift, rng=np.random.default_rng(args.seed))
             energies.append(e)
             rows.append((level, grid.npoints, grid.box, eps, e, ""))
         extrapolated = None
@@ -362,6 +359,7 @@ def cmd_spectrum(args, cfg):
         "eps": eps_values,
         "shift": shift,
         "eigen_tol": gridmod.EIGEN_TOL,
+        "lanczos_steps": gridmod.LANCZOS_STEPS,
         "levels": {
             str(level): {"energies": energies, "extrapolated": extrapolated}
             for level, (energies, extrapolated) in table.items()
@@ -483,7 +481,7 @@ def cmd_kk_check(args, cfg):
         "eps": eps,
         "mode_pair": ["konno-kuroda", "direct-grid"],
         "distance": worst,
-        "iterations": probes,
+        "probes": probes,
         "channel_tol": blocksmod.CHANNEL_TOL,
         "threshold": _KK_THRESHOLD,
     }, worst < _KK_THRESHOLD, "kk-check: max relative deviation %.3e over %d probes"
@@ -615,8 +613,6 @@ def build_parser():
     common.add_argument("--out", metavar="DIR",
                         help="report directory (default $DELTARESOLVENT_OUT "
                              "or ./reports)")
-    common.add_argument("--seed", type=int, default=0, metavar="U64",
-                        help="master RNG seed (default 0)")
     common.add_argument("--threads", type=int, default=None, metavar="N",
                         help="FFT worker threads (scipy.fft; default 1); BLAS "
                              "always runs at one thread")
@@ -624,6 +620,9 @@ def build_parser():
     for name in sorted(_HANDLERS):
         command = sub.add_parser(name, parents=[common],
                                  help="run the %s report" % name)
+        if name in ("converge", "forms", "kk-check", "spectrum"):
+            command.add_argument("--seed", type=int, default=0, metavar="U64",
+                                 help="master RNG seed (default 0)")
         if name in ("converge", "kk-check"):
             command.add_argument(
                 "--force", action="store_true",
@@ -635,7 +634,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 0 <= args.seed < 2 ** 64:
+    if not 0 <= getattr(args, "seed", 0) < 2 ** 64:
         print("error: seed must fit in 64 unsigned bits", file=sys.stderr)
         return 2
     if args.threads is not None and args.threads < 1:

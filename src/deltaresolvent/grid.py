@@ -233,17 +233,16 @@ def lab_axes_from_front(field, pair):
 
 
 class HamiltonianEps:
-    """Grid realization of H0 - g * sum_pairs V_eps(x_i - x_j).
+    """Grid realization of H0 - g * sum_pairs V(x_i - x_j).
 
-    ``pair_potential`` is V_eps over (x_i, x_j) indices, the same for every
+    ``pair_potential`` is V over (x_i, x_j) indices, the same for every
     pair, sampled at the wrapped (minimum-image) separation so the operator
-    stays symmetric on the periodic box.
+    stays symmetric on the periodic box: V_eps, or the lattice delta.
     """
 
-    def __init__(self, grid, spec, eps, pair_potential):
+    def __init__(self, grid, spec, pair_potential):
         self.grid = grid
         self.spec = spec
-        self.eps = float(eps)
         self._kin = kinetic_multiplier(grid, spec.masses)
         pot = np.zeros(grid.shape)
         for pair in enumerate_pairs(spec):
@@ -382,8 +381,10 @@ def shifted_solver(ham, z):
 # Norm and eigenvalue estimation: one ARPACK driver
 # ---------------------------------------------------------------------------
 
-# Relative accuracy lowest_eigenvalues asks of its eigenvalue.
+# Relative accuracy lowest_eigenvalues asks of its eigenvalue, and the
+# shifted solves it may spend on it (runs settle in 21 to 31).
 EIGEN_TOL = 1e-9
+LANCZOS_STEPS = 80
 
 
 def _eigsh(apply_op, solve, v0, steps, tol, shift, what):
@@ -430,20 +431,21 @@ def hermitian_norm(apply_op, shape, rng):
     return abs(value), rho, count + 1
 
 
-def lowest_eigenvalues(apply_op, solve, size, shift, steps, rng=None):
+def lowest_eigenvalues(apply_op, solve, size, shift, rng=None):
     """The eigenvalue of a real symmetric operator nearest ``shift`` (below it).
 
     Shift-inverted Lanczos in real arithmetic from a start vector drawn
-    from ``rng``; ``solve(v)`` applies (Op - shift)^{-1} at most ``steps``
-    times.  The eigenvalue is asked to relative accuracy EIGEN_TOL: a
-    Ritz value's error goes as its residual squared, so ARPACK runs at
-    sqrt(EIGEN_TOL).  Raises NoConvergence also when the residual
+    from ``rng``; ``solve(v)`` applies (Op - shift)^{-1} at most
+    LANCZOS_STEPS times.  The eigenvalue is asked to relative accuracy
+    EIGEN_TOL: a Ritz value's error goes as its residual squared, so ARPACK
+    runs at sqrt(EIGEN_TOL).  Raises NoConvergence also when the residual
     rho = ||Op x - E x|| reaches |E - shift| (E +- rho would hold the shift).
     """
     if rng is None:
         rng = np.random.default_rng(1)
-    value, rho, count = _eigsh(apply_op, solve, rng.standard_normal(size), steps,
-                               np.sqrt(EIGEN_TOL), shift, "Lanczos eigenvalue iteration")
+    value, rho, count = _eigsh(apply_op, solve, rng.standard_normal(size),
+                               LANCZOS_STEPS, np.sqrt(EIGEN_TOL), shift,
+                               "Lanczos eigenvalue iteration")
     if not rho < abs(value - shift):
         raise NoConvergence(count, rho, "Lanczos residual check")
     return value

@@ -2,9 +2,10 @@
 
 Four interchangeable routes to (H - z)^{-1} psi on the lattice:
 
-  direct  -- assemble the width-eps Hamiltonian and solve the shifted
-             linear system (inverted total-momentum sector by sector on
-             small grids, preconditioned GMRES above that);
+  direct  -- assemble the width-eps Hamiltonian (at eps None the contact
+             one, with the lattice delta) and solve the shifted linear
+             system (inverted total-momentum sector by sector on small
+             grids, preconditioned GMRES above that);
   kk      -- block factorization through the coupling maps: free
              resolvent plus the coupled-channel correction
              R0 + g R0 A* (1 - g A R0 A*)^{-1} A R0 at width eps;
@@ -38,7 +39,8 @@ from .errors import NoConvergence
 
 
 class DirectAssembly:
-    """(H_eps - z)^{-1} by direct linear solves on the full lattice.
+    """(H_eps - z)^{-1} by direct linear solves on the full lattice; at
+    eps None, the contact Hamiltonian's (bump.build_hamiltonian).
 
     Holds one shifted-solver handle: the shifted total-momentum sector
     matrices inverted once on small grids, preconditioned GMRES above
@@ -56,7 +58,6 @@ class DirectAssembly:
         self.grid = grid
         self.spec = spec
         self.z = z
-        self.eps = float(eps)
         self.ham = build_hamiltonian(grid, spec, eps)
         self._solve = gridmod.shifted_solver(self.ham, z)
 
@@ -200,7 +201,7 @@ def pole_scan(grid, spec, bracket):
     return float(scipy.optimize.brentq(smallest, lo, hi, xtol=1e-12))
 
 
-def ground_energy(grid, spec, eps, shift=-2.0, steps=80, rng=None):
+def ground_energy(grid, spec, eps, shift=-2.0, rng=None):
     """Lowest eigenvalue of the width-eps Hamiltonian.
 
     Shift-inverted Lanczos around ``shift``, which must sit strictly
@@ -212,4 +213,4 @@ def ground_energy(grid, spec, eps, shift=-2.0, steps=80, rng=None):
     return gridmod.lowest_eigenvalues(
         lambda vec: ham.apply(vec.reshape(grid.shape)).reshape(-1),
         lambda vec: solve(vec.reshape(grid.shape)).reshape(-1),
-        grid.size, shift, steps, rng=rng)
+        grid.size, shift, rng=rng)

@@ -59,7 +59,7 @@ def test_acceptance_01_factored_matches_direct():
 def test_acceptance_02_bound_state_energy():
     grid = Grid(512, 25.6, 2)
     widths = (0.4, 0.2)
-    energies = [ground_energy(grid, SPEC2, w, shift=-2.0, steps=80,
+    energies = [ground_energy(grid, SPEC2, w, shift=-2.0,
                               rng=np.random.default_rng(2))
                 for w in widths]
     w1, w2 = widths

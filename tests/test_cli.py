@@ -5,7 +5,7 @@ import pytest
 
 from deltaresolvent.blocks import CHANNEL_TOL
 from deltaresolvent.cli import main
-from deltaresolvent.grid import EIGEN_TOL
+from deltaresolvent.grid import EIGEN_TOL, LANCZOS_STEPS
 
 D3_AT_ONE = 0.029274915762159584
 
@@ -47,7 +47,7 @@ def test_kernels_report(tmp_path):
     assert float(nearest["value"]) == pytest.approx(D3_AT_ONE, rel=1e-10)
     meta = read_json(out / "kernels.json")
     assert meta["command"] == "kernels"
-    assert meta["seed"] == 0
+    assert meta["seed"] is None  # kernels draws no random numbers
     assert meta["supported"] is True
     assert meta["profile"]["support_radius"] == 1.0
     assert meta["profile"]["normalization"] == pytest.approx(
@@ -79,7 +79,7 @@ def test_kk_check_report(tmp_path):
     assert all(float(r["deviation"]) < 1e-10 for r in rows)
     meta = read_json(out / "kk-check.json")
     assert meta["mode_pair"] == ["konno-kuroda", "direct-grid"]
-    assert meta["iterations"] == 4
+    assert meta["probes"] == 4
     assert meta["distance"] < 1e-10
     assert meta["z"] == -16.0 and meta["eps"] == 0.25
     # the fixed precisions in force
@@ -144,7 +144,7 @@ def test_converge_forced_above_threshold(tmp_path):
 def test_spectrum_single_width(tmp_path):
     cfg = write_config(tmp_path, "\n".join([
         "[grid]", "npoints = 32", "box = 6.4",
-        "[spectrum]", "eps = 0.8", "steps = 40", "",
+        "[spectrum]", "eps = 0.8", "",
     ]))
     out = tmp_path / "reports"
     assert run("spectrum", "--config", cfg, "--out", str(out)) == 0
@@ -154,14 +154,17 @@ def test_spectrum_single_width(tmp_path):
     meta = read_json(out / "spectrum.json")
     assert meta["analytic"] == pytest.approx(-0.25)
     assert meta["eigen_tol"] == EIGEN_TOL
+    assert meta["lanczos_steps"] == LANCZOS_STEPS
     assert meta["levels"]["0"]["extrapolated"] is None
     assert "relative_deviation" not in meta
 
 
-def test_spectrum_unconverged_lanczos_is_a_solver_error(tmp_path, capsys):
+def test_spectrum_unconverged_lanczos_is_a_solver_error(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr("deltaresolvent.grid.LANCZOS_STEPS", 3)
     cfg = write_config(tmp_path, "\n".join([
         "[grid]", "npoints = 32", "box = 6.4",
-        "[spectrum]", "eps = 0.8", "steps = 3", "",
+        "[spectrum]", "eps = 0.8", "",
     ]))
     assert run("spectrum", "--config", cfg,
                "--out", str(tmp_path / "reports")) == 3
@@ -172,7 +175,7 @@ def test_spectrum_repulsive_stays_nonnegative(tmp_path):
     cfg = write_config(tmp_path, "\n".join([
         "[system]", "g = -1.0",
         "[grid]", "npoints = 128", "box = 12.8",
-        "[spectrum]", "eps = 0.4", "steps = 40", "",
+        "[spectrum]", "eps = 0.4", "",
     ]))
     out = tmp_path / "reports"
     assert run("spectrum", "--config", cfg, "--out", str(out)) == 0
@@ -186,7 +189,7 @@ def test_spectrum_three_particles_binds_deeper(tmp_path):
     cfg = write_config(tmp_path, "\n".join([
         "[system]", "masses = 1.0, 1.0, 1.0",
         "[grid]", "npoints = 32", "box = 6.4",
-        "[spectrum]", "eps = 0.8", "shift = -3.0", "steps = 40", "",
+        "[spectrum]", "eps = 0.8", "shift = -3.0", "",
     ]))
     out = tmp_path / "reports"
     assert run("spectrum", "--config", cfg, "--out", str(out)) == 0
@@ -207,14 +210,17 @@ def test_bounds_report(tmp_path):
     meta = read_json(out / "bounds.json")
     assert meta["failed"] == []
     assert meta["audits"] == 60
+    assert meta["seed"] is None  # the audits draw no random numbers
 
 
 def test_bounds_report_does_not_follow_the_seed(tmp_path):
-    """Every audit is deterministic: no seed reaches bounds.csv."""
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run("bounds", "--seed", "0", "--out", str(a)) == 0
-    assert run("bounds", "--seed", "5", "--out", str(b)) == 0
-    assert (a / "bounds.csv").read_bytes() == (b / "bounds.csv").read_bytes()
+    """Every audit and kernel table is deterministic, so bounds and kernels
+    take no --seed and their reports state none."""
+    for command in ("bounds", "kernels"):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--seed", "5", "--out", str(tmp_path / "r"))
+        assert exc.value.code == 2
+        assert not (tmp_path / "r").exists()
 
 
 def test_forms_report(tmp_path):
@@ -310,7 +316,7 @@ def test_non_finite_report_value_is_an_internal_error(tmp_path, capsys,
 
 def test_argument_validation(tmp_path, capsys):
     out = str(tmp_path / "r")
-    assert run("kernels", "--seed", "-1", "--out", out) == 2
+    assert run("forms", "--seed", "-1", "--out", out) == 2
     assert run("kernels", "--threads", "0", "--out", out) == 2
     err = capsys.readouterr().err
     assert "seed" in err and "--threads" in err
@@ -431,7 +437,7 @@ def test_blas_thread_environment_leaves_csv_bodies_unchanged(tmp_path, command,
     ("kk-check", "kk", "tolerance", "1e-6"),
     ("kk-check", "kk", "tol", "1e-10"),
     ("forms", "forms", "count", "2.5"),
-    ("spectrum", "spectrum", "steps", "0"),
+    ("spectrum", "spectrum", "steps", "0"),  # the Lanczos budget is fixed
     ("spectrum", "spectrum", "tol", "-1"),
     ("spectrum", "spectrum", "tol", "1e-9"),
     ("kernels", "kernels", "point", "3"),
@@ -480,6 +486,36 @@ def test_readme_config_block_matches_the_options_table():
             continue
         for key, (parse, default, _) in keys.items():
             assert parse(cfg[section][key]) == parse(default), (section, key)
+
+
+def test_readme_usage_block_matches_the_parser():
+    """Each line of the README's command-line block names the commands that
+    take its flags (<command>: all six), and every flag has a line."""
+    import argparse
+    import re
+    from pathlib import Path
+
+    from deltaresolvent.cli import _HANDLERS, build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Command line"):]
+    block = section[section.index("```sh\n") + 6:]
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def takers(flag):
+        return {name for name, sub in commands.items()
+                if any(flag in a.option_strings for a in sub._actions)}
+
+    listed = set()
+    for line in block[:block.index("```")].splitlines():
+        names = re.match(r"deltaresolvent (<command>|\{([\w,-]+)\})", line)
+        names = set(_HANDLERS) if names[2] is None else set(names[2].split(","))
+        for flag in re.findall(r"\[(--[\w-]+)", line):
+            assert takers(flag) == names, flag
+            listed.add(flag)
+    assert listed == {s for sub in commands.values() for a in sub._actions
+                      for s in a.option_strings if s.startswith("--")} - {"--help"}
 
 
 def test_bad_grid_size_is_a_config_error(tmp_path, capsys):

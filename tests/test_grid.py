@@ -317,11 +317,11 @@ def test_lowest_eigenvalues_on_dense_oracle():
     got = lowest_eigenvalues(
         lambda v: ham.apply(v.reshape(grid.shape)).ravel(),
         lambda v: solve(v.reshape(grid.shape)).ravel(),
-        grid.size, shift, steps=60, rng=np.random.default_rng(9))
+        grid.size, shift, rng=np.random.default_rng(9))
     assert got == pytest.approx(exact[0], abs=1e-8)
 
 
-def test_lowest_eigenvalues_raises_instead_of_returning_unconverged():
+def test_lowest_eigenvalues_raises_instead_of_returning_unconverged(monkeypatch):
     diag = np.linspace(1.0, 40.0, 40)
     shift = 0.5
     calls = []
@@ -330,7 +330,7 @@ def test_lowest_eigenvalues_raises_instead_of_returning_unconverged():
         calls.append(v.copy())
         return v / (diag - shift)
 
-    exact = lowest_eigenvalues(lambda v: diag * v, solve, 40, shift, steps=60,
+    exact = lowest_eigenvalues(lambda v: diag * v, solve, 40, shift,
                                rng=np.random.default_rng(12))
     assert exact == pytest.approx(1.0, abs=1e-10)
     # real arithmetic from a start vector drawn from the caller's generator
@@ -338,13 +338,14 @@ def test_lowest_eigenvalues_raises_instead_of_returning_unconverged():
     assert np.isrealobj(calls[0])
     assert np.allclose(calls[0] / np.linalg.norm(calls[0]),
                        start / np.linalg.norm(start))
-    # too few steps for the Ritz values to settle: steps caps the solves
-    calls.clear()
-    with pytest.raises(NoConvergence):
-        lowest_eigenvalues(lambda v: diag * v, solve, 40, shift, steps=3,
-                           rng=np.random.default_rng(12))
-    assert len(calls) == 3
     # settled Ritz values whose residual against the operator reaches the shift
     with pytest.raises(NoConvergence):
-        lowest_eigenvalues(lambda v: 3.0 * diag * v, solve, 40, shift, steps=60,
+        lowest_eigenvalues(lambda v: 3.0 * diag * v, solve, 40, shift,
                            rng=np.random.default_rng(12))
+    # too few steps for the Ritz values to settle: LANCZOS_STEPS caps the solves
+    calls.clear()
+    monkeypatch.setattr("deltaresolvent.grid.LANCZOS_STEPS", 3)
+    with pytest.raises(NoConvergence):
+        lowest_eigenvalues(lambda v: diag * v, solve, 40, shift,
+                           rng=np.random.default_rng(12))
+    assert len(calls) == 3

@@ -150,6 +150,40 @@ def test_complex_conjugate_symmetry():
     assert rel_dev(minus.apply(np.conj(psi)), np.conj(plus.apply(psi))) < 1e-11
 
 
+@pytest.mark.parametrize("grid, masses, g, z, tol", [
+    (Grid(16, 3.2, 2), (1.0, 2.0), 0.7, -20.0, 1e-11),
+    (Grid(16, 3.2, 3), (1.0, 1.0, 1.0), 1.0, -20.0, 1e-11),
+    (Grid(16, 3.2, 3), (1.0, 2.0, 0.5), 0.7, -90.0, 1e-11),
+    (Grid(8, 3.2, 4), (1.0, 2.0, 0.5, 1.5), 0.5, -320.0, 1e-11),
+    (Grid(32, 3.2, 3), (1.0, 1.0, 1.0), 1.0, -20.0, 1e-9),  # GMRES
+], ids=["n2", "n3", "n3-mixed", "n4", "n3-gmres"])
+def test_contact_routes_match_the_direct_solve(grid, masses, g, z, tol):
+    """limit and theta are two Woodbury forms of the contact Hamiltonian
+    H0 - (g/h) sum_pairs 1[x_i = x_j]; direct at eps None solves it plainly."""
+    spec = SystemSpec(masses=masses, g=g)
+    psi = next(probes(grid, np.random.default_rng(20), 1))
+    expect = DirectAssembly(grid, spec, z, None).apply(psi)
+    for asm in (FactoredAssembly(grid, spec, z), TraceAssembly(grid, spec, z)):
+        assert rel_dev(asm.apply(psi), expect) < tol
+
+
+def test_routes_at_four_particles():
+    """theta against limit, and kk at a width the grid resolves (shear maps)
+    against direct, which runs GMRES on 65,536 points; z0 = -297.8."""
+    from deltaresolvent.bump import ShearCouplingMap
+
+    spec = SystemSpec(masses=(1.0, 2.0, 0.5, 1.5), g=0.7)
+    grid = Grid(16, 6.4, 4)
+    z, eps = -320.0, 1.6
+    psi = next(probes(grid, np.random.default_rng(21), 1))
+    limit = FactoredAssembly(grid, spec, z).apply(psi)
+    assert rel_dev(TraceAssembly(grid, spec, z).apply(psi), limit) < 5e-10
+    kk = FactoredAssembly(grid, spec, z, eps)
+    assert all(isinstance(m, ShearCouplingMap) for m in kk.maps)
+    direct = DirectAssembly(grid, spec, z, eps).apply(psi)
+    assert rel_dev(kk.apply(psi), direct) < 1e-9
+
+
 def test_resolvent_norm_obeys_spectral_mapping():
     """The largest resolvent eigenvalue is 1/(E0 - z) for its own operator."""
     z, eps, shift = -16.0, 0.25, -2.0
@@ -159,7 +193,7 @@ def test_resolvent_norm_obeys_spectral_mapping():
     e0 = lowest_eigenvalues(
         lambda v: inv.ham.apply(v.reshape(GRID_SMALL.shape)).ravel(),
         lambda v: inv.apply(v.reshape(GRID_SMALL.shape)).ravel(),
-        GRID_SMALL.size, shift, steps=60, rng=np.random.default_rng(9))
+        GRID_SMALL.size, shift, rng=np.random.default_rng(9))
     norm, residual, _ = hermitian_norm(asm.apply, GRID_SMALL.shape,
                                        np.random.default_rng(10))
     assert residual <= 1e-4 * norm
@@ -234,7 +268,7 @@ def test_pole_scan_refines_toward_quarter():
 
 def test_ground_energy_small_box():
     grid = Grid(32, 6.4, 2)
-    e = ground_energy(grid, SPEC2, 0.8, shift=-2.0, steps=40,
+    e = ground_energy(grid, SPEC2, 0.8, shift=-2.0,
                       rng=np.random.default_rng(15))
     assert e == pytest.approx(E0_SMALL_BOX, abs=1e-4)
 
@@ -253,30 +287,31 @@ def test_ground_energy_assembles_and_factors_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
     monkeypatch.setattr(HamiltonianEps, "matrix",
                         counted("matrix", HamiltonianEps.matrix))
-    e = ground_energy(Grid(32, 6.4, 2), SPEC2, 0.8, shift=-2.0, steps=40,
+    e = ground_energy(Grid(32, 6.4, 2), SPEC2, 0.8, shift=-2.0,
                       rng=np.random.default_rng(15))
     assert e == pytest.approx(E0_SMALL_BOX, abs=1e-4)
     assert counts == {"inv": 1, "matrix": 0}
 
 
-def test_ground_energy_raises_when_steps_run_out():
+def test_ground_energy_raises_when_steps_run_out(monkeypatch):
     """Three steps leave the Ritz value far from settled (it would read > 0)."""
+    monkeypatch.setattr("deltaresolvent.grid.LANCZOS_STEPS", 3)
     with pytest.raises(NoConvergence):
-        ground_energy(Grid(32, 12.8, 2), SPEC2, 1.6, steps=3)
+        ground_energy(Grid(32, 12.8, 2), SPEC2, 1.6)
 
 
 def test_ground_energy_repulsive_has_no_bound_state():
     grid = Grid(128, 12.8, 2)
     spec = SystemSpec(masses=(1.0, 1.0), g=-1.0)
-    e = ground_energy(grid, spec, 0.4, shift=-2.0, steps=40,
+    e = ground_energy(grid, spec, 0.4, shift=-2.0,
                       rng=np.random.default_rng(16))
     assert e > -1e-6
 
 
 def test_ground_energy_three_particles_binds_deeper():
-    e2 = ground_energy(Grid(32, 6.4, 2), SPEC2, 0.8, shift=-2.0, steps=40,
+    e2 = ground_energy(Grid(32, 6.4, 2), SPEC2, 0.8, shift=-2.0,
                        rng=np.random.default_rng(17))
     spec3 = SystemSpec(masses=(1.0, 1.0, 1.0), g=1.0)
-    e3 = ground_energy(Grid(32, 6.4, 3), spec3, 0.8, shift=-3.0, steps=40,
+    e3 = ground_energy(Grid(32, 6.4, 3), spec3, 0.8, shift=-3.0,
                        rng=np.random.default_rng(17))
     assert e3 < e2 < 0.0
